@@ -4,10 +4,9 @@ The learnable map is a single-hidden-layer MLP with ReLU (optionally two
 hidden layers for the depth ablation) plus a per-frame mixing vector
 alpha stored in unconstrained form (``a_raw``, alpha = logistic(a_raw)).
 
-Each training epoch recomputes the semantic distribution from the
-*current* learned features, rebuilds the combined distribution, selects
-the epoch's triplets from it (selection is detached from gradients), and
-descends the hinge loss
+Each training epoch selects its triplets from the combined distribution
+at the *current* learned features (selection is detached from
+gradients), then descends the hinge loss
 
     mean over triplets of max(0, KL(f(i)||f(i+)) - KL(f(i)||f(i-)))
 
@@ -15,6 +14,16 @@ one gradient step per pooled anchor batch, in the default "standard"
 orientation; "literal" swaps the two KL terms. All gradients are
 computed analytically here and are checked against central finite
 differences in the test suite.
+
+Training keeps no N x N state. The per-frame part of the chain (MLP
+activations, learned rows and their unit vectors) is N x d; rows of the
+N-wide similarity, kernel and distribution matrices are built only for
+the frames that read them. Pooling reads diag(F), built ROW_BLOCK rows
+at a time; selection reads the pooled anchors' rows; a gradient step
+reads the rows of its triplets' frames, outside which dL/dF and dL/dS
+vanish. :func:`combined_distribution` and :func:`training_loss` build
+the dense matrices from the public operations and serve as the
+reference path in tests.
 """
 
 from __future__ import annotations
@@ -30,10 +39,12 @@ from .similarity import (
     TemporalKernel,
     ZeroNormRowError,
     combined_rows,
+    frame_positions,
     semantic_distribution,
     temporal_distribution,
+    temporal_rows,
 )
-from .triplet import Triplet, sample_triplets, stochastic_pool
+from .triplet import Triplet, pool_anchors, select_triplets
 
 
 class DivergenceError(ArithmeticError):
@@ -221,10 +232,17 @@ def _orientation_sign(orientation: str) -> float:
 # Differentiable chain: X -> Z -> cosine kernel -> row PDFs -> mix -> KL hinge
 # ---------------------------------------------------------------------------
 
+ROW_BLOCK = 128
+"""Rows of the N-wide matrices built at once by the epoch head and selection."""
 
-def _forward_chain(model: TsaModel, X: np.ndarray, ft_rows: np.ndarray, config: RunConfig) -> dict:
-    """Run the full pipeline once, caching everything backward() needs."""
-    cache: dict = {"X": X, "ft": ft_rows}
+
+def _forward_chain(model: TsaModel, X: np.ndarray, positions: np.ndarray) -> dict:
+    """Run the per-frame part of the chain, caching what the row functions and backward need.
+
+    Only N x d and length-N arrays are kept; rows of the N-wide matrices
+    come from :func:`_distribution_rows` for the frames that need them.
+    """
+    cache: dict = {"X": X, "positions": positions}
     h = X
     pre_acts = []
     layer_inputs = [X]
@@ -242,53 +260,96 @@ def _forward_chain(model: TsaModel, X: np.ndarray, ft_rows: np.ndarray, config: 
     if np.any(norms == 0):
         i = int(np.argwhere(norms == 0)[0][0])
         raise ZeroNormRowError(f"learned row {i} collapsed to zero norm")
-    U = Z / norms[:, None]
-    S = U @ U.T
-    K = np.exp((S - 1.0) / config.h)
-    sk = K.sum(axis=1)
-    FS = K / sk[:, None]
-    alpha = _sigmoid(model.a_raw)
-    if config.similarity_mode == "combined":
-        mixed = alpha[:, None] * ft_rows + (1.0 - alpha[:, None]) * FS
-    elif config.similarity_mode == "semantic_only":
-        mixed = FS
-    else:  # temporal_only
-        mixed = ft_rows
-    smoothed = mixed + config.kl_smoothing
-    su = smoothed.sum(axis=1)
-    F = smoothed / su[:, None]
     cache.update(
         pre_acts=pre_acts,
         layer_inputs=layer_inputs,
         Z=Z,
         norms=norms,
-        U=U,
-        S=S,
-        K=K,
-        sk=sk,
-        FS=FS,
-        alpha=alpha,
-        su=su,
-        F=F,
+        U=Z / norms[:, None],
+        alpha=_sigmoid(model.a_raw),
     )
     return cache
+
+
+def _distribution_rows(cache: dict, index: np.ndarray, config: RunConfig) -> dict:
+    """Rows ``index`` of the similarity, kernel and distribution matrices.
+
+    Every matrix entry is len(index) x N: S (cosine), K (kernel), FS
+    (semantic PDF), ft (temporal PDF) and F (the smoothed mix the loss and
+    selection read), plus the row sums sk and su and the rows' alpha.
+    """
+    U = cache["U"]
+    S = U[index] @ U.T
+    K = np.exp((S - 1.0) / config.h)
+    sk = K.sum(axis=1)
+    FS = K / sk[:, None]
+    ft = temporal_rows(cache["positions"], index, TemporalKernel(config.L))
+    alpha = cache["alpha"][index]
+    if config.similarity_mode == "combined":
+        mixed = alpha[:, None] * ft + (1.0 - alpha[:, None]) * FS
+    elif config.similarity_mode == "semantic_only":
+        mixed = FS
+    else:  # temporal_only
+        mixed = ft
+    smoothed = mixed + config.kl_smoothing
+    su = smoothed.sum(axis=1)
+    F = smoothed / su[:, None]
+    return {"S": S, "K": K, "sk": sk, "FS": FS, "ft": ft, "alpha": alpha, "su": su, "F": F}
+
+
+def _row_blocks(cache: dict, index: np.ndarray, config: RunConfig):
+    """Yield (offset, block, F rows of block) over ``index`` in ROW_BLOCK slices."""
+    for start in range(0, len(index), ROW_BLOCK):
+        block = index[start : start + ROW_BLOCK]
+        yield start, block, _distribution_rows(cache, block, config)["F"]
+
+
+def _diagonal(cache: dict, config: RunConfig) -> np.ndarray:
+    """diag(F), built ROW_BLOCK rows at a time."""
+    n = cache["U"].shape[0]
+    return np.concatenate(
+        [F[np.arange(block.size), block] for _, block, F in _row_blocks(cache, np.arange(n), config)]
+    )
+
+
+def _select_epoch_triplets(
+    cache: dict, config: RunConfig, rng: np.random.Generator
+) -> list[Triplet]:
+    """Pool anchors on diag(F), then draw triplets from the anchors' rows of F."""
+    pool = pool_anchors(_diagonal(cache, config), config.batch_size, rng, config.pool_mode)
+    children = rng.spawn(len(pool))
+    triplets: list[Triplet] = []
+    for start, anchors, rows in _row_blocks(cache, pool.indices, config):
+        triplets += select_triplets(
+            rows,
+            anchors,
+            children[start : start + anchors.size],
+            config.per_anchor,
+            config.positive_fraction,
+        )
+    return triplets
 
 
 def _loss_and_gradients(
     model: TsaModel, cache: dict, triplets: list[Triplet], config: RunConfig
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Hinge loss plus analytic gradients for every parameter block."""
+    """Hinge loss plus analytic gradients for every parameter block.
+
+    Only the rows R = anchors | positives | negatives of the N-wide
+    matrices are built; dL/dF and dL/dS vanish outside them.
+    """
     if not triplets:
         raise ValueError("empty triplet list")
     n_t = len(triplets)
-    ai = np.array([t.anchor for t in triplets])
-    pi = np.array([t.positive for t in triplets])
-    ni = np.array([t.negative for t in triplets])
+    frames = np.array([(t.anchor, t.positive, t.negative) for t in triplets]).T.ravel()
+    index, local = np.unique(frames, return_inverse=True)
+    ai, pi, ni = local.reshape(3, n_t)
     sign = _orientation_sign(config.loss_orientation)
-    F = cache["F"]
-    S = cache["S"]
+    rows = _distribution_rows(cache, index, config)
+    da_raw = np.zeros_like(model.a_raw)
 
     if config.loss_features == "pdf":
+        F = rows["F"]
         logF = np.log(F)
         kl_pos = np.einsum("tk,tk->t", F[ai], logF[ai] - logF[pi])
         kl_neg = np.einsum("tk,tk->t", F[ai], logF[ai] - logF[ni])
@@ -300,31 +361,33 @@ def _loss_and_gradients(
         np.add.at(dF, ai, coeff[:, None] * (logF[ni] - logF[pi]))
         np.add.at(dF, pi, coeff[:, None] * (-F[ai] / F[pi]))
         np.add.at(dF, ni, coeff[:, None] * (F[ai] / F[ni]))
-        dS, da_raw = _pdf_chain_to_similarity(model, cache, dF, config)
+        dS, da_raw[index] = _pdf_chain_to_similarity(rows, dF, config)
     else:  # raw cosine-distance triplet loss: no PDFs inside the loss
-        gaps = sign * (S[ai, ni] - S[ai, pi])
+        S = rows["S"]
+        p, q = index[pi], index[ni]
+        gaps = sign * (S[ai, q] - S[ai, p])
         active = gaps > 0
         loss = float(np.maximum(gaps, 0.0).mean())
         coeff = sign * active.astype(np.float64) / n_t
         dS = np.zeros_like(S)
-        np.add.at(dS, (ai, ni), coeff)
-        np.add.at(dS, (ai, pi), -coeff)
-        da_raw = np.zeros_like(model.a_raw)
+        np.add.at(dS, (ai, q), coeff)
+        np.add.at(dS, (ai, p), -coeff)
 
-    grads = _similarity_to_params(model, cache, dS)
+    grads = _similarity_to_params(model, cache, index, dS)
     grads["a_raw"] = da_raw
     return loss, grads
 
 
 def _pdf_chain_to_similarity(
-    model: TsaModel, cache: dict, dF: np.ndarray, config: RunConfig
+    rows: dict, dF: np.ndarray, config: RunConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Backpropagate dL/dF through smoothing, mixing, and kernel rows.
 
-    Returns (dL/dS, dL/da_raw).
+    Works on the rows built by :func:`_distribution_rows`; returns
+    (dL/dS, dL/da_raw) on those rows.
     """
-    F, FS, K, sk, su = cache["F"], cache["FS"], cache["K"], cache["sk"], cache["su"]
-    alpha, ft = cache["alpha"], cache["ft"]
+    F, FS, K, sk, su = rows["F"], rows["FS"], rows["K"], rows["sk"], rows["su"]
+    alpha, ft = rows["alpha"], rows["ft"]
     # smoothing renormalization F = (mixed + eps) / su
     d_mixed = (dF - (dF * F).sum(axis=1, keepdims=True)) / su[:, None]
     if config.similarity_mode == "combined":
@@ -333,19 +396,26 @@ def _pdf_chain_to_similarity(
         da_raw = d_alpha * alpha * (1.0 - alpha)
     elif config.similarity_mode == "semantic_only":
         dFS = d_mixed
-        da_raw = np.zeros_like(model.a_raw)
+        da_raw = np.zeros_like(alpha)
     else:  # temporal_only: mixed rows are constants
-        return np.zeros_like(F), np.zeros_like(model.a_raw)
+        return np.zeros_like(F), np.zeros_like(alpha)
     # kernel row normalization FS = K / sk
     dK = (dFS - (dFS * FS).sum(axis=1, keepdims=True)) / sk[:, None]
     # K = exp((S - 1)/h)
     return dK * K / config.h, da_raw
 
 
-def _similarity_to_params(model: TsaModel, cache: dict, dS: np.ndarray) -> dict[str, np.ndarray]:
-    """Backpropagate dL/dS through cosine normalization and the MLP."""
+def _similarity_to_params(
+    model: TsaModel, cache: dict, index: np.ndarray, dS: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Backpropagate dL/dS through cosine normalization and the MLP.
+
+    ``dS`` holds the non-zero rows ``index`` of the N x N gradient, so
+    (dS + dS^T) @ U splits into one product per side.
+    """
     U, norms = cache["U"], cache["norms"]
-    dU = (dS + dS.T) @ U
+    dU = dS.T @ U[index]
+    dU[index] += dS @ U
     dZ = (dU - (dU * U).sum(axis=1, keepdims=True) * U) / norms[:, None]
     grads: dict[str, np.ndarray] = {}
     d = dZ
@@ -418,9 +488,8 @@ def backward(
     Raises DivergenceError if any component is non-finite.
     """
     values = X.values if isinstance(X, FeatureMatrix) else np.asarray(X, dtype=np.float64)
-    n = values.shape[0]
-    ft = temporal_distribution(n, TemporalKernel(config.L), positions)
-    cache = _forward_chain(model, values, ft.rows, config)
+    positions = frame_positions(values.shape[0], positions)
+    cache = _forward_chain(model, values, positions)
     _, grads = _loss_and_gradients(model, cache, triplets, config)
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
@@ -449,10 +518,11 @@ def train(
 ) -> tuple[TsaModel, FeatureMatrix, TrainState]:
     """Learn the representation of one video.
 
-    Per epoch: rebuild the combined distribution from the current
-    features, pool one anchor per batch-size window, sample that epoch's
-    triplets, then take one descent step per anchor batch (the forward
-    chain is recomputed before each step so gradients stay exact).
+    Per epoch: from the current features, pool one anchor per
+    batch-size window on diag(F), sample that epoch's triplets from the
+    anchors' rows of F, then take one descent step per anchor batch (the
+    per-frame chain is recomputed before each step and the rows of the
+    batch's frames rebuilt, so gradients stay exact).
     Steps use an exponentially decayed learning rate, constant within an
     epoch, and decoupled L2 weight decay: every parameter block shrinks
     by 1 - lr*2*weight_decay per step. The recorded epoch loss is the
@@ -484,21 +554,18 @@ def train(
         scheme=config.init_scheme,
         X=values,
     )
-    ft = temporal_distribution(n_frames, TemporalKernel(config.L), positions)
+    positions = frame_positions(n_frames, positions)
     state = TrainState(rng=master, lr=config.learning_rate)
     snapshot = model.copy()
     for epoch in range(1, config.max_epochs + 1):
         lr = config.learning_rate * config.lr_decay ** (epoch - 1)
         shrink = 1.0 - lr * 2.0 * config.weight_decay
         try:
-            cache = _forward_chain(model, values, ft.rows, config)
+            cache = _forward_chain(model, values, positions)
         except ZeroNormRowError:
             state.diverged = True
             break
-        pool = stochastic_pool(cache["F"], config.batch_size, master, config.pool_mode)
-        triplets = sample_triplets(
-            cache["F"], pool, master, config.per_anchor, config.positive_fraction
-        )
+        triplets = _select_epoch_triplets(cache, config, master)
         if triplet_sink is not None:
             triplet_sink(epoch, triplets)
         snapshot = model.copy()
@@ -507,7 +574,7 @@ def train(
             for start in range(0, len(triplets), config.per_anchor):
                 batch = triplets[start : start + config.per_anchor]
                 if start > 0:
-                    cache = _forward_chain(model, values, ft.rows, config)
+                    cache = _forward_chain(model, values, positions)
                 loss, grads = _loss_and_gradients(model, cache, batch, config)
                 if not math.isfinite(loss) or any(
                     not np.all(np.isfinite(g)) for g in grads.values()

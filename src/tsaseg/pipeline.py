@@ -90,17 +90,16 @@ def run_dataset(
     """Run the per-video protocol over a directory pair and average scores.
 
     Videos are paired by file stem: ``<stem>`` in ``features_dir`` (text
-    or binary feature format) with ``<stem>.txt`` labels. Returns a dict
+    or binary feature format) with ``<stem>.txt`` labels. A stem with
+    more than one feature file, or a label file with no feature file, is
+    rejected with a ValueError naming every offender. Returns a dict
     with per-video scores and the dataset means.
     """
     config = DATASET_PRESETS[preset] if isinstance(preset, str) else preset
     features_dir, labels_dir = Path(features_dir), Path(labels_dir)
-    stems = sorted(p.stem for p in features_dir.iterdir() if p.is_file())
-    if not stems:
-        raise ValueError(f"no feature files in {features_dir}")
+    videos = _pair_by_stem(features_dir, labels_dir)
     per_video = {}
-    for i, stem in enumerate(stems):
-        feature_path = next(p for p in features_dir.iterdir() if p.stem == stem)
+    for i, (stem, feature_path) in enumerate(videos.items()):
         features = load_features(feature_path)
         gt = load_labels(labels_dir / f"{stem}.txt", background=background)
         video_config = replace(config, seed=seed + i)
@@ -113,3 +112,26 @@ def run_dataset(
         for metric in ("mof", "iou", "f1")
     }
     return {"videos": per_video, "mean": means, "n_videos": len(per_video)}
+
+
+def _pair_by_stem(features_dir: Path, labels_dir: Path) -> dict[str, Path]:
+    """Map each stem to its one feature file, in stem order."""
+    by_stem: dict[str, list[Path]] = {}
+    for path in sorted(features_dir.iterdir()):
+        if path.is_file():
+            by_stem.setdefault(path.stem, []).append(path)
+    if not by_stem:
+        raise ValueError(f"no feature files in {features_dir}")
+    problems = [
+        f"stem {stem!r} has {len(paths)} feature files ({', '.join(p.name for p in paths)})"
+        for stem, paths in by_stem.items()
+        if len(paths) > 1
+    ]
+    problems += [
+        f"label file {path.name!r} has no feature file"
+        for path in sorted(labels_dir.glob("*.txt"))
+        if path.stem not in by_stem
+    ]
+    if problems:
+        raise ValueError("cannot pair videos by stem: " + "; ".join(problems))
+    return {stem: paths[0] for stem, paths in sorted(by_stem.items())}

@@ -3,7 +3,9 @@
 Three row-stochastic N x N matrices are built here: a semantic
 distribution from an exponential kernel over cosine similarity, a
 temporal distribution from a decaying window kernel, and their per-frame
-convex combination. Every row is a PDF over frames.
+convex combination. Every row is a PDF over frames. Temporal rows can
+also be built for a subset of frames (:func:`temporal_rows`), which the
+training engine uses so that it never holds the whole matrix.
 """
 
 from __future__ import annotations
@@ -117,6 +119,29 @@ def semantic_distribution(
     return AffinityMatrix(rows, kind="semantic")
 
 
+def frame_positions(n_frames: int, positions: np.ndarray | None = None) -> np.ndarray:
+    """Validated frame positions for the temporal kernel; 0..N-1 by default."""
+    if n_frames < 2:
+        raise ValueError("need at least 2 frames")
+    if positions is None:
+        return np.arange(n_frames, dtype=np.float64)
+    positions = np.asarray(positions, dtype=np.float64)
+    if positions.shape != (n_frames,):
+        raise ValueError("positions must have one entry per frame")
+    return positions
+
+
+def temporal_rows(positions: np.ndarray, index: np.ndarray, kernel: TemporalKernel) -> np.ndarray:
+    """Rows ``index`` of the temporal distribution over frames at ``positions``.
+
+    Each row is the clipped kernel over the distances from frame i to
+    every frame, normalized to a PDF (see :func:`temporal_distribution`).
+    """
+    dist = np.abs(positions[index, None] - positions[None, :])
+    weights = np.maximum(temporal_weight(dist, kernel), 0.0)
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
 def temporal_distribution(
     n_frames: int, kernel: TemporalKernel, positions: np.ndarray | None = None
 ) -> AffinityMatrix:
@@ -130,18 +155,8 @@ def temporal_distribution(
     the accompanying feature matrix are a subsequence of a longer video
     (distances are then measured in original frame units).
     """
-    if n_frames < 2:
-        raise ValueError("need at least 2 frames")
-    if positions is None:
-        positions = np.arange(n_frames, dtype=np.float64)
-    else:
-        positions = np.asarray(positions, dtype=np.float64)
-        if positions.shape != (n_frames,):
-            raise ValueError("positions must have one entry per frame")
-    dist = np.abs(positions[:, None] - positions[None, :])
-    weights = np.maximum(temporal_weight(dist, kernel), 0.0)
-    rows = weights / weights.sum(axis=1, keepdims=True)
-    return AffinityMatrix(rows, kind="temporal")
+    positions = frame_positions(n_frames, positions)
+    return AffinityMatrix(temporal_rows(positions, np.arange(n_frames), kernel), kind="temporal")
 
 
 def combine(

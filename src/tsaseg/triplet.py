@@ -62,13 +62,18 @@ def stochastic_pool(
     proportional to the row's diagonal entry; ``mode='uniform'`` samples
     uniformly. The last window may be shorter. Deterministic under rng.
     """
-    rows = _rows(f_ts)
-    n = rows.shape[0]
+    return pool_anchors(np.diag(_rows(f_ts)), batch_size, rng, mode)
+
+
+def pool_anchors(
+    diag: np.ndarray, batch_size: int, rng: np.random.Generator, mode: str = "self_affinity"
+) -> DownsampleSet:
+    """Core of :func:`stochastic_pool`: it reads only the diagonal of the matrix."""
+    n = diag.shape[0]
     if not 1 <= batch_size <= n:
         raise ValueError(f"batch_size must lie in [1, {n}], got {batch_size}")
     if mode not in ("self_affinity", "uniform"):
         raise ValueError(f"unknown pooling mode {mode!r}")
-    diag = np.diag(rows)
     picks = []
     for start in range(0, n, batch_size):
         window = np.arange(start, min(start + batch_size, n))
@@ -89,18 +94,18 @@ def positive_set(
     anchor itself is excluded; the count is capped so at least one frame
     stays available as a negative candidate.
     """
+    return _positives(_rows(f_ts)[anchor], anchor, fraction)
+
+
+def _positives(row: np.ndarray, anchor: int, fraction: float) -> np.ndarray:
     if not 0 < fraction < 1:
         raise ValueError("fraction must lie in (0, 1)")
-    rows = _rows(f_ts)
-    n = rows.shape[0]
+    n = row.shape[0]
     count = math.ceil(fraction * n)
     count = max(1, min(count, n - 2 if n > 2 else 1))
-    candidates = np.array([j for j in range(n) if j != anchor])
-    order = sorted(
-        candidates,
-        key=lambda j: (-rows[anchor, j], abs(j - anchor), j),
-    )
-    return np.array(sorted(order[:count]), dtype=np.int64)
+    others = np.delete(np.arange(n, dtype=np.int64), anchor)
+    order = np.lexsort((others, np.abs(others - anchor), -row[others]))
+    return np.sort(others[order[:count]])
 
 
 def negative_set(
@@ -115,20 +120,24 @@ def negative_set(
     positive set so positives and negatives never overlap. If the band
     is empty the single frame closest to the mean is returned.
     """
-    rows = _rows(f_ts)
-    n = rows.shape[0]
-    excluded = set() if exclude is None else set(int(j) for j in exclude)
-    off_diag = np.array([rows[anchor, j] for j in range(n) if j != anchor])
+    return _negatives(_rows(f_ts)[anchor], anchor, exclude)
+
+
+def _negatives(row: np.ndarray, anchor: int, exclude: np.ndarray | None) -> np.ndarray:
+    others = np.delete(np.arange(row.shape[0], dtype=np.int64), anchor)
+    off_diag = row[others]
     mean = off_diag.mean()
     std = off_diag.std()
-    candidates = [j for j in range(n) if j != anchor and j not in excluded]
-    if not candidates:
+    if exclude is not None:
+        kept = ~np.isin(others, np.asarray(exclude, dtype=np.int64))
+        others, off_diag = others[kept], off_diag[kept]
+    if not others.size:
         raise ValueError("no negative candidates remain outside the positive set")
-    band = [j for j in candidates if mean <= rows[anchor, j] <= mean + std]
-    if band:
-        return np.array(band, dtype=np.int64)
-    fallback = min(candidates, key=lambda j: (abs(rows[anchor, j] - mean), abs(j - anchor), j))
-    return np.array([fallback], dtype=np.int64)
+    band = others[(mean <= off_diag) & (off_diag <= mean + std)]
+    if band.size:
+        return band
+    order = np.lexsort((others, np.abs(others - anchor), np.abs(off_diag - mean)))
+    return others[order[:1]]
 
 
 def sample_triplets(
@@ -145,12 +154,26 @@ def sample_triplets(
     """
     if per_anchor < 1:
         raise ValueError("per_anchor must be a positive integer")
-    rows = _rows(f_ts)
     children = rng.spawn(len(pool))
+    return select_triplets(_rows(f_ts)[pool.indices], pool.indices, children, per_anchor, fraction)
+
+
+def select_triplets(
+    anchor_rows: np.ndarray,
+    anchors: np.ndarray,
+    children: list[np.random.Generator],
+    per_anchor: int = 1,
+    fraction: float = 0.05,
+) -> list[Triplet]:
+    """Core of :func:`sample_triplets`: it reads only the anchors' rows.
+
+    ``anchor_rows[k]`` is the full row of frame ``anchors[k]`` and
+    ``children[k]`` its generator, so a pool may be selected in blocks.
+    """
     triplets: list[Triplet] = []
-    for anchor, child in zip(pool.indices.tolist(), children):
-        positives = positive_set(rows, anchor, fraction)
-        negatives = negative_set(rows, anchor, exclude=positives)
+    for row, anchor, child in zip(anchor_rows, anchors.tolist(), children):
+        positives = _positives(row, anchor, fraction)
+        negatives = _negatives(row, anchor, positives)
         for _ in range(per_anchor):
             pos = int(child.choice(positives))
             neg = int(child.choice(negatives))

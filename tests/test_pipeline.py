@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from tsaseg.data_io import DATASET_PRESETS, RunConfig, save_features, save_labels
+from tsaseg import pipeline
+from tsaseg.data_io import DATASET_PRESETS, RunConfig, load_features, save_features, save_labels
 from tsaseg.pipeline import run_dataset, run_video, segment_features
 from tsaseg.synth import SynthSpec, generate
 
@@ -80,6 +81,23 @@ class TestRunDataset:
         features_dir, labels_dir = write_mini_dataset(tmp_path, n_videos=2)
         report = run_dataset(features_dir, labels_dir, "breakfast", seed=3)
         assert report["n_videos"] == 2
+
+    def test_ambiguous_stems_and_orphan_labels_rejected(self, tmp_path, monkeypatch):
+        features_dir, labels_dir = write_mini_dataset(tmp_path, n_videos=3)
+        for stem in ("video_0", "video_2"):  # a text copy beside each binary file
+            save_features(load_features(features_dir / f"{stem}.bin"),
+                          features_dir / f"{stem}.txt", "text")
+        (labels_dir / "video_9.txt").write_text("a\n")
+        trained = []
+        monkeypatch.setattr(pipeline, "run_video", lambda *a, **k: trained.append(a))
+        with pytest.raises(ValueError) as err:
+            run_dataset(features_dir, labels_dir, RunConfig(batch_size=16, min_epochs=1, max_epochs=1))
+        message = str(err.value)
+        assert "'video_0' has 2 feature files (video_0.bin, video_0.txt)" in message
+        assert "'video_2' has 2 feature files" in message
+        assert "'video_1'" not in message
+        assert "label file 'video_9.txt' has no feature file" in message
+        assert trained == []  # rejected before any video trains
 
     def test_empty_dataset_rejected(self, tmp_path):
         (tmp_path / "features").mkdir()
