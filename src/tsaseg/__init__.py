@@ -33,7 +33,7 @@ from .model import (
     training_loss,
     triplet_loss,
 )
-from .cluster import Segmentation, equal_split, finch, jacobi_eigh, kmeans, spectral
+from .cluster import Segmentation, equal_split, finch, kmeans, spectral
 from .evaluate import MatchResult, Scores, contingency, f1, hungarian, iou, mof, remove_background, score
 from .synth import SynthSpec, generate
 from .pipeline import run_dataset, run_video, segment_features

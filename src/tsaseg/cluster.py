@@ -12,9 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial.distance import pdist, squareform
 
 from .data_io import FeatureMatrix
-from .similarity import ZeroNormRowError
+from .similarity import cosine_similarity_matrix
 
 
 @dataclass(frozen=True)
@@ -41,14 +45,9 @@ class Segmentation:
     @property
     def segments(self) -> list[tuple[int, int, int]]:
         """Maximal constant runs as (start, end, label), end exclusive."""
-        labels = self.labels
-        out = []
-        start = 0
-        for i in range(1, labels.size + 1):
-            if i == labels.size or labels[i] != labels[start]:
-                out.append((start, i, int(labels[start])))
-                start = i
-        return out
+        starts = np.flatnonzero(np.diff(self.labels)) + 1
+        bounds = np.concatenate(([0], starts, [self.labels.size]))
+        return [(int(a), int(b), int(self.labels[a])) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _values(m: FeatureMatrix | np.ndarray) -> np.ndarray:
@@ -138,52 +137,22 @@ def kmeans(
 # ---------------------------------------------------------------------------
 
 
-def _cosine_distance_matrix(x: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=1)
-    if np.any(norms == 0):
-        i = int(np.argwhere(norms == 0)[0][0])
-        raise ZeroNormRowError(f"row {i} has zero norm; cosine distance undefined")
-    unit = x / norms[:, None]
-    return 1.0 - unit @ unit.T
-
-
 def _first_neighbor_partition(points: np.ndarray) -> np.ndarray:
     """Connected components of the first-nearest-neighbor graph (cosine)."""
     n = points.shape[0]
-    dist = _cosine_distance_matrix(points)
+    dist = 1.0 - cosine_similarity_matrix(points)
     np.fill_diagonal(dist, np.inf)
     nn = np.argmin(dist, axis=1)
-    # union-find over edges i-j with j = nn(i), i = nn(j), or nn(i) = nn(j)
-    parent = np.arange(n)
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for i in range(n):
-        union(i, int(nn[i]))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if nn[i] == nn[j]:
-                union(i, j)
-    roots = np.array([find(i) for i in range(n)])
-    _, labels = np.unique(roots, return_inverse=True)
+    graph = csr_matrix((np.ones(n), (np.arange(n), nn)), shape=(n, n))
+    _, labels = connected_components(graph, connection="weak")
     return labels
 
 
 def _relabel_first_appearance(labels: np.ndarray) -> np.ndarray:
-    mapping: dict[int, int] = {}
-    out = np.empty_like(labels)
-    for i, lab in enumerate(labels.tolist()):
-        out[i] = mapping.setdefault(lab, len(mapping))
-    return out
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse]
 
 
 def _cluster_means(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -199,7 +168,7 @@ def _merge_to_k(x: np.ndarray, labels: np.ndarray, target_k: int) -> np.ndarray:
     k = int(labels.max()) + 1
     while k > target_k:
         means = _cluster_means(x, labels, k)
-        dist = _cosine_distance_matrix(means)
+        dist = 1.0 - cosine_similarity_matrix(means)
         np.fill_diagonal(dist, np.inf)
         a, b = np.unravel_index(np.argmin(dist), dist.shape)
         a, b = min(a, b), max(a, b)
@@ -259,58 +228,6 @@ def finch(
 # ---------------------------------------------------------------------------
 
 
-def jacobi_eigh(
-    a: np.ndarray, tol: float = 1e-10, max_sweeps: int = 60
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (eigenvalues ascending, eigenvectors as columns). Converged
-    when the off-diagonal Frobenius norm drops below ``tol``.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.allclose(a, a.T, atol=1e-12):
-        raise ValueError("matrix must be symmetric")
-    n = a.shape[0]
-    A = a.copy()
-    V = np.eye(n)
-
-    def off_norm() -> float:
-        off = A - np.diag(np.diag(A))
-        return float(np.sqrt((off**2).sum()))
-
-    for _ in range(max_sweeps):
-        if off_norm() < tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) < tol / max(1, n):
-                    continue
-                # rotation angle annihilating A[p, q]
-                theta = 0.5 * (A[q, q] - A[p, p]) / apq
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * A[:, p] - s * A[:, q]
-                rot_q = s * A[:, p] + c * A[:, q]
-                A[:, p], A[:, q] = rot_p, rot_q
-                rot_p = c * A[p, :] - s * A[q, :]
-                rot_q = s * A[p, :] + c * A[q, :]
-                A[p, :], A[q, :] = rot_p, rot_q
-                rot_p = c * V[:, p] - s * V[:, q]
-                rot_q = s * V[:, p] + c * V[:, q]
-                V[:, p], V[:, q] = rot_p, rot_q
-    else:
-        if off_norm() >= tol:
-            raise ArithmeticError(f"Jacobi sweep did not converge below {tol}")
-    order = np.argsort(np.diag(A), kind="stable")
-    return np.diag(A)[order].copy(), V[:, order].copy()
-
-
 def spectral(
     m: FeatureMatrix | np.ndarray,
     k: int,
@@ -319,10 +236,10 @@ def spectral(
 ) -> Segmentation:
     """Normalized spectral clustering with a Gaussian affinity.
 
-    The bandwidth is the median pairwise Euclidean distance; the
-    embedding uses the k smallest-eigenvalue eigenvectors of
-    I - D^{-1/2} A D^{-1/2}, rows normalized to unit length, partitioned
-    by k-means.
+    The squared bandwidth is the median pairwise squared Euclidean
+    distance; the embedding uses the k smallest-eigenvalue eigenvectors
+    of I - D^{-1/2} A D^{-1/2}, rows normalized to unit length,
+    partitioned by k-means.
     """
     x = _values(m)
     n = x.shape[0]
@@ -330,18 +247,16 @@ def spectral(
         raise ValueError(f"k must lie in [2, {n}], got {k}")
     if k == n:
         return Segmentation(np.arange(n, dtype=np.int64), n)
-    sq = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
-    off = sq[~np.eye(n, dtype=bool)]
-    bandwidth2 = float(np.median(off))
+    condensed = pdist(x, "sqeuclidean")
+    bandwidth2 = float(np.median(condensed))
     if bandwidth2 <= 0:
         bandwidth2 = 1.0  # all points coincide; affinity becomes uniform
-    affinity = np.exp(-sq / (2.0 * bandwidth2)) + affinity_smoothing
+    affinity = np.exp(-squareform(condensed) / (2.0 * bandwidth2)) + affinity_smoothing
     degree = affinity.sum(axis=1)
     inv_sqrt = 1.0 / np.sqrt(degree)
     laplacian = np.eye(n) - inv_sqrt[:, None] * affinity * inv_sqrt[None, :]
     laplacian = 0.5 * (laplacian + laplacian.T)
-    _, vectors = jacobi_eigh(laplacian)
-    embedding = vectors[:, :k]
+    _, embedding = eigh(laplacian, subset_by_index=[0, k - 1])
     row_norms = np.linalg.norm(embedding, axis=1)
     row_norms[row_norms == 0] = 1.0
     embedding = embedding / row_norms[:, None]

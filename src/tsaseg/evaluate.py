@@ -3,7 +3,7 @@
 Predicted cluster ids carry no meaning, so scoring first computes a
 one-to-one mapping between predicted and ground-truth labels that
 maximizes total frame overlap, then reads all three metrics off the
-mapped prediction. IoU and F1 are frame-level, macro-averaged over the
+contingency table at the matched pairs. IoU and F1 are frame-level, macro-averaged over the
 ground-truth classes; ground-truth classes left unmatched contribute 0.
 """
 
@@ -59,6 +59,8 @@ def contingency(pred, gt) -> np.ndarray:
     p, g = _labels(pred), _labels(gt)
     if p.shape != g.shape:
         raise ValueError(f"length mismatch: {p.size} predicted vs {g.size} ground-truth frames")
+    if p.min() < 0 or g.min() < 0:
+        raise ValueError("labels must be non-negative")
     table = np.zeros((int(p.max()) + 1, int(g.max()) + 1), dtype=np.int64)
     np.add.at(table, (p, g), 1)
     return table
@@ -84,58 +86,40 @@ def hungarian(overlap: np.ndarray) -> MatchResult:
     return MatchResult(mapping=mapping, overlap=overlap.astype(np.int64))
 
 
-def _mapped(pred: np.ndarray, match: MatchResult) -> np.ndarray:
-    """Predicted labels translated to ground-truth ids; unmatched become -1."""
-    out = np.full(pred.shape, -1, dtype=np.int64)
-    for p_label, g_label in match.mapping.items():
-        out[pred == p_label] = g_label
-    return out
+def _matched_counts(pred, gt, match: MatchResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per ground-truth class present in ``gt``, in class order: its frames
+    predicted as its matched label, the frames of that label, its own frames.
+
+    A class that is unmatched, or matched to a label absent from ``pred``,
+    overlaps a label of 0 frames.
+    """
+    table = contingency(pred, gt)
+    empty = table.shape[0]  # an appended all-zero row stands for "no frames"
+    table = np.vstack([table, np.zeros_like(table[:1])])
+    pred_size, gt_size = table.sum(axis=1), table.sum(axis=0)
+    classes = np.flatnonzero(gt_size)
+    inverse = {g_label: p_label for p_label, g_label in match.mapping.items()}
+    rows = np.array([inverse.get(int(c), empty) for c in classes])
+    rows[(rows < 0) | (rows > empty)] = empty
+    return table[rows, classes], pred_size[rows], gt_size[classes]
 
 
 def mof(pred, gt, match: MatchResult) -> float:
     """Fraction of frames whose mapped predicted label equals the ground truth."""
-    p, g = _labels(pred), _labels(gt)
-    if p.shape != g.shape:
-        raise ValueError("length mismatch between prediction and ground truth")
-    return float(np.mean(_mapped(p, match) == g))
+    inter, _, gt_size = _matched_counts(pred, gt, match)
+    return float(inter.sum() / gt_size.sum())
 
 
 def iou(pred, gt, match: MatchResult) -> float:
     """Mean per-ground-truth-class Jaccard index of frame sets."""
-    p, g = _labels(pred), _labels(gt)
-    if p.shape != g.shape:
-        raise ValueError("length mismatch between prediction and ground truth")
-    inverse = {g_label: p_label for p_label, g_label in match.mapping.items()}
-    scores = []
-    for c in np.unique(g):
-        gt_frames = g == c
-        if int(c) not in inverse:
-            scores.append(0.0)
-            continue
-        pred_frames = p == inverse[int(c)]
-        union = np.logical_or(gt_frames, pred_frames).sum()
-        inter = np.logical_and(gt_frames, pred_frames).sum()
-        scores.append(inter / union if union else 0.0)
-    return float(np.mean(scores))
+    inter, pred_size, gt_size = _matched_counts(pred, gt, match)
+    return float(np.mean(inter / (pred_size + gt_size - inter)))
 
 
 def f1(pred, gt, match: MatchResult) -> float:
     """Mean per-ground-truth-class frame-level F1 (2PR/(P+R))."""
-    p, g = _labels(pred), _labels(gt)
-    if p.shape != g.shape:
-        raise ValueError("length mismatch between prediction and ground truth")
-    inverse = {g_label: p_label for p_label, g_label in match.mapping.items()}
-    scores = []
-    for c in np.unique(g):
-        gt_frames = g == c
-        if int(c) not in inverse:
-            scores.append(0.0)
-            continue
-        pred_frames = p == inverse[int(c)]
-        inter = np.logical_and(gt_frames, pred_frames).sum()
-        denom = pred_frames.sum() + gt_frames.sum()
-        scores.append(2.0 * inter / denom if denom else 0.0)
-    return float(np.mean(scores))
+    inter, pred_size, gt_size = _matched_counts(pred, gt, match)
+    return float(np.mean(2.0 * inter / (pred_size + gt_size)))
 
 
 def score(pred, gt) -> tuple[Scores, MatchResult]:

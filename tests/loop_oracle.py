@@ -1,0 +1,119 @@
+"""Loop implementations of clustering and scoring helpers, kept as a test-only oracle.
+
+``tsaseg.cluster`` now takes the first-neighbor components from
+``scipy.sparse.csgraph`` and relabels and splits runs with NumPy, and
+``tsaseg.evaluate`` reads its metrics off the contingency table. These
+are the per-frame loop, union-find and per-class mask versions they
+replaced, copied unchanged apart from the scorers' input conversion and
+length check, so tests can require identical results.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from tsaseg.similarity import ZeroNormRowError
+
+
+def segments(labels: np.ndarray) -> list[tuple[int, int, int]]:
+    """Maximal constant runs as (start, end, label), end exclusive."""
+    out = []
+    start = 0
+    for i in range(1, labels.size + 1):
+        if i == labels.size or labels[i] != labels[start]:
+            out.append((start, i, int(labels[start])))
+            start = i
+    return out
+
+
+def _cosine_distance_matrix(x: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(x, axis=1)
+    if np.any(norms == 0):
+        i = int(np.argwhere(norms == 0)[0][0])
+        raise ZeroNormRowError(f"row {i} has zero norm; cosine distance undefined")
+    unit = x / norms[:, None]
+    return 1.0 - unit @ unit.T
+
+
+def _first_neighbor_partition(points: np.ndarray) -> np.ndarray:
+    """Connected components of the first-nearest-neighbor graph (cosine)."""
+    n = points.shape[0]
+    dist = _cosine_distance_matrix(points)
+    np.fill_diagonal(dist, np.inf)
+    nn = np.argmin(dist, axis=1)
+    # union-find over edges i-j with j = nn(i), i = nn(j), or nn(i) = nn(j)
+    parent = np.arange(n)
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a: int, b: int) -> None:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    for i in range(n):
+        union(i, int(nn[i]))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if nn[i] == nn[j]:
+                union(i, j)
+    roots = np.array([find(i) for i in range(n)])
+    _, labels = np.unique(roots, return_inverse=True)
+    return labels
+
+
+def _relabel_first_appearance(labels: np.ndarray) -> np.ndarray:
+    mapping: dict[int, int] = {}
+    out = np.empty_like(labels)
+    for i, lab in enumerate(labels.tolist()):
+        out[i] = mapping.setdefault(lab, len(mapping))
+    return out
+
+
+def _mapped(pred: np.ndarray, match) -> np.ndarray:
+    """Predicted labels translated to ground-truth ids; unmatched become -1."""
+    out = np.full(pred.shape, -1, dtype=np.int64)
+    for p_label, g_label in match.mapping.items():
+        out[pred == p_label] = g_label
+    return out
+
+
+def mof(p: np.ndarray, g: np.ndarray, match) -> float:
+    """Fraction of frames whose mapped predicted label equals the ground truth."""
+    return float(np.mean(_mapped(p, match) == g))
+
+
+def iou(p: np.ndarray, g: np.ndarray, match) -> float:
+    """Mean per-ground-truth-class Jaccard index of frame sets."""
+    inverse = {g_label: p_label for p_label, g_label in match.mapping.items()}
+    scores = []
+    for c in np.unique(g):
+        gt_frames = g == c
+        if int(c) not in inverse:
+            scores.append(0.0)
+            continue
+        pred_frames = p == inverse[int(c)]
+        union = np.logical_or(gt_frames, pred_frames).sum()
+        inter = np.logical_and(gt_frames, pred_frames).sum()
+        scores.append(inter / union if union else 0.0)
+    return float(np.mean(scores))
+
+
+def f1(p: np.ndarray, g: np.ndarray, match) -> float:
+    """Mean per-ground-truth-class frame-level F1 (2PR/(P+R))."""
+    inverse = {g_label: p_label for p_label, g_label in match.mapping.items()}
+    scores = []
+    for c in np.unique(g):
+        gt_frames = g == c
+        if int(c) not in inverse:
+            scores.append(0.0)
+            continue
+        pred_frames = p == inverse[int(c)]
+        inter = np.logical_and(gt_frames, pred_frames).sum()
+        denom = pred_frames.sum() + gt_frames.sum()
+        scores.append(2.0 * inter / denom if denom else 0.0)
+    return float(np.mean(scores))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import adjusted_rand_index
-from tsaseg.cluster import Segmentation, equal_split, finch, jacobi_eigh, kmeans, spectral
+from tsaseg.cluster import Segmentation, equal_split, finch, kmeans, spectral
 from tsaseg.synth import SynthSpec, generate
 
 
@@ -128,42 +128,6 @@ class TestFinch:
     def test_required_k_above_n_rejected(self, rng):
         with pytest.raises(ValueError):
             finch(rng.standard_normal((5, 2)), required_k=6)
-
-
-class TestJacobi:
-    def test_three_by_three_against_characteristic_polynomial(self, rng):
-        for _ in range(25):
-            a = rng.standard_normal((3, 3))
-            a = 0.5 * (a + a.T)
-            values, vectors = jacobi_eigh(a)
-            # characteristic polynomial det(xI - A) via trace/minors/det
-            c2 = -np.trace(a)
-            minors = (
-                a[0, 0] * a[1, 1] - a[0, 1] ** 2
-                + a[0, 0] * a[2, 2] - a[0, 2] ** 2
-                + a[1, 1] * a[2, 2] - a[1, 2] ** 2
-            )
-            c0 = -np.linalg.det(a)
-            roots = np.sort(np.roots([1.0, c2, minors, c0]).real)
-            assert np.allclose(values, roots, atol=1e-10)
-            assert np.allclose(vectors @ np.diag(values) @ vectors.T, a, atol=1e-9)
-
-    def test_larger_matrices_match_lapack(self, rng):
-        for size in (8, 25):
-            a = rng.standard_normal((size, size))
-            a = 0.5 * (a + a.T)
-            values, _ = jacobi_eigh(a)
-            assert np.allclose(values, np.linalg.eigvalsh(a), atol=1e-9)
-
-    def test_eigenvalues_ascending(self, rng):
-        a = rng.standard_normal((10, 10))
-        a = 0.5 * (a + a.T)
-        values, _ = jacobi_eigh(a)
-        assert np.all(np.diff(values) >= 0)
-
-    def test_asymmetric_rejected(self, rng):
-        with pytest.raises(ValueError, match="symmetric"):
-            jacobi_eigh(rng.standard_normal((4, 4)))
 
 
 class TestSpectral:

@@ -1,0 +1,110 @@
+"""The library-backed clustering and scoring paths against the loop oracle.
+
+``tests/loop_oracle.py`` holds the per-frame loops, union-find and
+per-class masks that SciPy and NumPy calls replaced. Scores, FINCH
+levels, relabelling and run splitting must be exactly equal to them.
+"""
+
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import loop_oracle
+from tsaseg import cluster
+from tsaseg.cluster import Segmentation, finch, spectral
+from tsaseg.evaluate import MatchResult, contingency, f1, iou, mof, score
+
+
+def labels_with_gaps(rng, n, k):
+    """n labels drawn from a random subset of [0, k), so some ids are absent."""
+    used = rng.choice(k, size=rng.integers(1, k + 1), replace=False)
+    return rng.choice(used, size=n)
+
+
+class TestScoresMatchOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
+           k_pred=st.integers(1, 24), k_gt=st.integers(1, 24))
+    def test_score_equals_mask_loops(self, seed, n, k_pred, k_gt):
+        rng = np.random.default_rng(seed)
+        pred, gt = labels_with_gaps(rng, n, k_pred), labels_with_gaps(rng, n, k_gt)
+        scores, match = score(pred, gt)
+        assert scores.mof == loop_oracle.mof(pred, gt, match)
+        assert scores.iou == loop_oracle.iou(pred, gt, match)
+        assert scores.f1 == loop_oracle.f1(pred, gt, match)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200),
+           k_pred=st.integers(1, 16), k_gt=st.integers(1, 16))
+    def test_hand_built_match_with_unmatched_and_absent_labels(self, seed, n, k_pred, k_gt):
+        rng = np.random.default_rng(seed)
+        pred, gt = labels_with_gaps(rng, n, k_pred), labels_with_gaps(rng, n, k_gt)
+        # a partial injection whose predicted side may name labels past pred.max()
+        pairs = min(k_pred + 3, k_gt + 2)
+        size = int(rng.integers(0, pairs + 1))
+        keys = rng.choice(k_pred + 3, size=size, replace=False)
+        values = rng.choice(k_gt + 2, size=size, replace=False)
+        match = MatchResult(dict(zip(keys.tolist(), values.tolist())), contingency(pred, gt))
+        assert mof(pred, gt, match) == loop_oracle.mof(pred, gt, match)
+        assert iou(pred, gt, match) == loop_oracle.iou(pred, gt, match)
+        assert f1(pred, gt, match) == loop_oracle.f1(pred, gt, match)
+
+    def test_label_absent_from_pred_overlaps_nothing(self):
+        pred, gt = np.array([0, 0, 1, 1]), np.array([0, 0, 1, 1])
+        match = MatchResult({0: 0, 5: 1}, contingency(pred, gt))
+        assert mof(pred, gt, match) == 0.5
+        assert iou(pred, gt, match) == 0.5
+        assert f1(pred, gt, match) == 0.5
+
+    def test_negative_labels_rejected(self):
+        # np.add.at would wrap a negative index into the last row
+        with pytest.raises(ValueError, match="non-negative"):
+            mof(np.array([-1, 0, 1]), np.array([0, 1, 1]), MatchResult({0: 0}, np.ones((1, 1))))
+
+
+class TestClusteringMatchesOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 120), d=st.integers(1, 8),
+           required_k=st.integers(1, 120))
+    def test_finch_equals_union_find(self, seed, n, d, required_k):
+        x = np.random.default_rng(seed).standard_normal((n, d))
+        required_k = min(required_k, n)
+        levels, exact = finch(x), finch(x, required_k=required_k)
+        with mock.patch.object(cluster, "_first_neighbor_partition",
+                               loop_oracle._first_neighbor_partition), \
+                mock.patch.object(cluster, "_relabel_first_appearance",
+                                  loop_oracle._relabel_first_appearance):
+            oracle_levels, oracle_exact = finch(x), finch(x, required_k=required_k)
+        assert [lv.k for lv in levels] == [lv.k for lv in oracle_levels]
+        for lv, ref in zip(levels, oracle_levels):
+            assert np.array_equal(lv.labels, ref.labels)
+        assert np.array_equal(exact.labels, oracle_exact.labels)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200), k=st.integers(1, 12))
+    def test_relabel_and_segments_equal_loops(self, seed, n, k):
+        labels = np.random.default_rng(seed).integers(0, k, size=n)
+        relabelled = cluster._relabel_first_appearance(labels)
+        assert np.array_equal(relabelled, loop_oracle._relabel_first_appearance(labels))
+        # runs of a piecewise-constant sequence, as clusterers produce
+        runs = np.sort(labels)
+        for seq in (labels, runs):
+            assert Segmentation(seq, k).segments == loop_oracle.segments(seq)
+
+
+class TestSpectralMemory:
+    def test_peak_below_eight_square_matrices(self):
+        n, d = 800, 64
+        x = np.random.default_rng(0).standard_normal((n, d))
+        tracemalloc.start()
+        try:
+            spectral(x, 6, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the pairwise-difference tensor alone was n * n * d * 8 bytes (312 MiB)
+        assert peak < 8 * n * n * 8
