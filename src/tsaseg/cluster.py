@@ -3,8 +3,10 @@
 All clusterers return a :class:`Segmentation` of per-frame integer
 labels; downstream evaluation is invariant to label identity, so labels
 are only consistent within one result. The spectral path runs on a
-dense symmetric normalized Laplacian whose eigenpairs come from a
-cyclic Jacobi sweep (desk-scale videos make dense O(N^3) acceptable).
+dense symmetric normalized Laplacian whose k smallest eigenpairs come
+from LAPACK through ``scipy.linalg.eigh`` (dense O(N^3) time and N^2
+memory). k-means takes its squared distances from
+``scipy.spatial.distance.cdist``.
 """
 
 from __future__ import annotations
@@ -15,10 +17,14 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .data_io import FeatureMatrix
 from .similarity import cosine_similarity_matrix
+
+KMEANS_RESTARTS = 10  # k-means++ seedings per call; the lowest WCSS wins
+KMEANS_MAX_ITER = 300  # Lloyd iterations per seeding
+AFFINITY_SMOOTHING = 1e-10  # added to every spectral affinity so no degree is 0
 
 
 @dataclass(frozen=True)
@@ -64,7 +70,7 @@ def _kmeans_pp_centers(x: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     n = x.shape[0]
     centers = np.empty((k, x.shape[1]))
     centers[0] = x[rng.integers(n)]
-    dist2 = ((x - centers[0]) ** 2).sum(axis=1)
+    dist2 = cdist(x, centers[:1], "sqeuclidean")[:, 0]
     for c in range(1, k):
         total = dist2.sum()
         if total > 0:
@@ -72,16 +78,25 @@ def _kmeans_pp_centers(x: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
         else:  # all remaining points coincide with chosen centers
             idx = rng.integers(n)
         centers[c] = x[idx]
-        dist2 = np.minimum(dist2, ((x - centers[c]) ** 2).sum(axis=1))
+        dist2 = np.minimum(dist2, cdist(x, centers[c : c + 1], "sqeuclidean")[:, 0])
     return centers
 
 
-def _lloyd(x: np.ndarray, centers: np.ndarray, max_iter: int) -> tuple[np.ndarray, float]:
+def _cluster_means(x: np.ndarray, labels: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    """Mean row of each cluster in [0, len(fallback)); an empty one keeps its fallback row."""
+    means = fallback.copy()
+    for c in range(fallback.shape[0]):
+        members = x[labels == c]
+        if members.size:
+            means[c] = members.mean(axis=0)
+    return means
+
+
+def _lloyd(x: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
     k = centers.shape[0]
     prev_wcss = np.inf
-    labels = np.zeros(x.shape[0], dtype=np.int64)
-    for _ in range(max_iter):
-        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    for _ in range(KMEANS_MAX_ITER):
+        d2 = cdist(x, centers, "sqeuclidean")
         labels = np.argmin(d2, axis=1)
         # refill empty clusters with the point farthest from its center
         for c in range(k):
@@ -93,28 +108,18 @@ def _lloyd(x: np.ndarray, centers: np.ndarray, max_iter: int) -> tuple[np.ndarra
         wcss = float(d2[np.arange(x.shape[0]), labels].sum())
         if not wcss <= prev_wcss + 1e-9 * (1.0 + abs(prev_wcss)):
             raise AssertionError(f"k-means objective increased: {prev_wcss} -> {wcss}")
-        new_centers = centers.copy()
-        for c in range(k):
-            members = x[labels == c]
-            if members.size:
-                new_centers[c] = members.mean(axis=0)
+        new_centers = _cluster_means(x, labels, centers)
         if np.array_equal(new_centers, centers):
             return labels, wcss
         centers = new_centers
         prev_wcss = wcss
-    d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    d2 = cdist(x, centers, "sqeuclidean")
     labels = np.argmin(d2, axis=1)
     return labels, float(d2[np.arange(x.shape[0]), labels].sum())
 
 
-def kmeans(
-    m: FeatureMatrix | np.ndarray,
-    k: int,
-    rng: np.random.Generator,
-    max_iter: int = 300,
-    restarts: int = 10,
-) -> Segmentation:
-    """Lloyd's algorithm with k-means++ seeding, best of ``restarts`` by WCSS."""
+def kmeans(m: FeatureMatrix | np.ndarray, k: int, rng: np.random.Generator) -> Segmentation:
+    """Lloyd's algorithm with k-means++ seeding, best of ``KMEANS_RESTARTS`` by WCSS."""
     x = _values(m)
     n = x.shape[0]
     if not 1 <= k <= n:
@@ -124,9 +129,9 @@ def kmeans(
     if k == n:
         return Segmentation(np.arange(n, dtype=np.int64), n)
     best_labels, best_wcss = None, np.inf
-    for child in rng.spawn(restarts):
+    for child in rng.spawn(KMEANS_RESTARTS):
         centers = _kmeans_pp_centers(x, k, child)
-        labels, wcss = _lloyd(x, centers, max_iter)
+        labels, wcss = _lloyd(x, centers)
         if wcss < best_wcss:
             best_labels, best_wcss = labels, wcss
     return Segmentation(best_labels, k)
@@ -155,19 +160,12 @@ def _relabel_first_appearance(labels: np.ndarray) -> np.ndarray:
     return rank[inverse]
 
 
-def _cluster_means(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    means = np.empty((k, x.shape[1]))
-    for c in range(k):
-        means[c] = x[labels == c].mean(axis=0)
-    return means
-
-
 def _merge_to_k(x: np.ndarray, labels: np.ndarray, target_k: int) -> np.ndarray:
     """Repeatedly merge the mutually-nearest pair of cluster means (cosine)."""
     labels = _relabel_first_appearance(labels)
     k = int(labels.max()) + 1
     while k > target_k:
-        means = _cluster_means(x, labels, k)
+        means = _cluster_means(x, labels, np.zeros((k, x.shape[1])))
         dist = 1.0 - cosine_similarity_matrix(means)
         np.fill_diagonal(dist, np.inf)
         a, b = np.unravel_index(np.argmin(dist), dist.shape)
@@ -203,7 +201,7 @@ def finch(
     levels.append(labels)
     while int(labels.max()) + 1 > 1:
         k = int(labels.max()) + 1
-        means = _cluster_means(x, labels, k)
+        means = _cluster_means(x, labels, np.zeros((k, x.shape[1])))
         if k == 2:
             meta = np.zeros(2, dtype=np.int64)
         else:
@@ -228,12 +226,7 @@ def finch(
 # ---------------------------------------------------------------------------
 
 
-def spectral(
-    m: FeatureMatrix | np.ndarray,
-    k: int,
-    rng: np.random.Generator,
-    affinity_smoothing: float = 1e-10,
-) -> Segmentation:
+def spectral(m: FeatureMatrix | np.ndarray, k: int, rng: np.random.Generator) -> Segmentation:
     """Normalized spectral clustering with a Gaussian affinity.
 
     The squared bandwidth is the median pairwise squared Euclidean
@@ -251,7 +244,7 @@ def spectral(
     bandwidth2 = float(np.median(condensed))
     if bandwidth2 <= 0:
         bandwidth2 = 1.0  # all points coincide; affinity becomes uniform
-    affinity = np.exp(-squareform(condensed) / (2.0 * bandwidth2)) + affinity_smoothing
+    affinity = np.exp(-squareform(condensed) / (2.0 * bandwidth2)) + AFFINITY_SMOOTHING
     degree = affinity.sum(axis=1)
     inv_sqrt = 1.0 / np.sqrt(degree)
     laplacian = np.eye(n) - inv_sqrt[:, None] * affinity * inv_sqrt[None, :]
@@ -268,10 +261,4 @@ def equal_split(n_frames: int, k: int) -> Segmentation:
     if not 1 <= k <= n_frames:
         raise ValueError(f"k must lie in [1, {n_frames}], got {k}")
     base, extra = divmod(n_frames, k)
-    labels = np.empty(n_frames, dtype=np.int64)
-    pos = 0
-    for c in range(k):
-        length = base + (1 if c < extra else 0)
-        labels[pos : pos + length] = c
-        pos += length
-    return Segmentation(labels, k)
+    return Segmentation(np.repeat(np.arange(k), base + (np.arange(k) < extra)), k)

@@ -86,14 +86,14 @@ def hungarian(overlap: np.ndarray) -> MatchResult:
     return MatchResult(mapping=mapping, overlap=overlap.astype(np.int64))
 
 
-def _matched_counts(pred, gt, match: MatchResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per ground-truth class present in ``gt``, in class order: its frames
-    predicted as its matched label, the frames of that label, its own frames.
+def _scores(table: np.ndarray, match: MatchResult) -> Scores:
+    """MoF, IoU and F1 read off the contingency table at the matched pairs.
 
-    A class that is unmatched, or matched to a label absent from ``pred``,
-    overlaps a label of 0 frames.
+    Per ground-truth class present, in class order: its frames predicted
+    as its matched label, the frames of that label and its own frames. A
+    class that is unmatched, or matched to a label absent from the
+    prediction, overlaps a label of 0 frames.
     """
-    table = contingency(pred, gt)
     empty = table.shape[0]  # an appended all-zero row stands for "no frames"
     table = np.vstack([table, np.zeros_like(table[:1])])
     pred_size, gt_size = table.sum(axis=1), table.sum(axis=0)
@@ -101,32 +101,34 @@ def _matched_counts(pred, gt, match: MatchResult) -> tuple[np.ndarray, np.ndarra
     inverse = {g_label: p_label for p_label, g_label in match.mapping.items()}
     rows = np.array([inverse.get(int(c), empty) for c in classes])
     rows[(rows < 0) | (rows > empty)] = empty
-    return table[rows, classes], pred_size[rows], gt_size[classes]
+    inter, pred_size, gt_size = table[rows, classes], pred_size[rows], gt_size[classes]
+    return Scores(
+        mof=float(inter.sum() / gt_size.sum()),
+        iou=float(np.mean(inter / (pred_size + gt_size - inter))),
+        f1=float(np.mean(2.0 * inter / (pred_size + gt_size))),
+    )
 
 
 def mof(pred, gt, match: MatchResult) -> float:
     """Fraction of frames whose mapped predicted label equals the ground truth."""
-    inter, _, gt_size = _matched_counts(pred, gt, match)
-    return float(inter.sum() / gt_size.sum())
+    return _scores(contingency(pred, gt), match).mof
 
 
 def iou(pred, gt, match: MatchResult) -> float:
     """Mean per-ground-truth-class Jaccard index of frame sets."""
-    inter, pred_size, gt_size = _matched_counts(pred, gt, match)
-    return float(np.mean(inter / (pred_size + gt_size - inter)))
+    return _scores(contingency(pred, gt), match).iou
 
 
 def f1(pred, gt, match: MatchResult) -> float:
     """Mean per-ground-truth-class frame-level F1 (2PR/(P+R))."""
-    inter, pred_size, gt_size = _matched_counts(pred, gt, match)
-    return float(np.mean(2.0 * inter / (pred_size + gt_size)))
+    return _scores(contingency(pred, gt), match).f1
 
 
 def score(pred, gt) -> tuple[Scores, MatchResult]:
-    """Hungarian matching plus all three metrics in one call."""
+    """Hungarian matching plus all three metrics, off one contingency table."""
     table = contingency(pred, gt)
     match = hungarian(table)
-    return Scores(mof(pred, gt, match), iou(pred, gt, match), f1(pred, gt, match)), match
+    return _scores(table, match), match
 
 
 def scores_json(

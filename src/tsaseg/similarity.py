@@ -182,7 +182,7 @@ def combine(
 def combined_rows(
     fs: np.ndarray, ft: np.ndarray, alpha: np.ndarray, smoothing: float
 ) -> np.ndarray:
-    """Raw-array core of :func:`combine` (shared with the gradient engine)."""
+    """Raw-array core of :func:`combine`, also called by ``model.combined_distribution``."""
     if fs.shape != ft.shape:
         raise ValueError(f"shape mismatch: semantic {fs.shape} vs temporal {ft.shape}")
     if alpha.shape != (fs.shape[0],):

@@ -1,11 +1,14 @@
 """Loop implementations of clustering and scoring helpers, kept as a test-only oracle.
 
 ``tsaseg.cluster`` now takes the first-neighbor components from
-``scipy.sparse.csgraph`` and relabels and splits runs with NumPy, and
+``scipy.sparse.csgraph``, relabels and splits runs with NumPy and takes
+its k-means distances from ``scipy.spatial.distance.cdist``, and
 ``tsaseg.evaluate`` reads its metrics off the contingency table. These
-are the per-frame loop, union-find and per-class mask versions they
-replaced, copied unchanged apart from the scorers' input conversion and
-length check, so tests can require identical results.
+are the per-frame loop, union-find, N x k x d difference-tensor and
+per-class mask versions they replaced, copied unchanged apart from the
+scorers' input conversion and length check and ``kmeans``' input
+conversion, range check and return type, so tests can require
+identical results.
 """
 
 from __future__ import annotations
@@ -117,3 +120,73 @@ def f1(p: np.ndarray, g: np.ndarray, match) -> float:
         denom = pred_frames.sum() + gt_frames.sum()
         scores.append(2.0 * inter / denom if denom else 0.0)
     return float(np.mean(scores))
+
+
+def _kmeans_pp_centers(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """D^2-weighted seeding."""
+    n = x.shape[0]
+    centers = np.empty((k, x.shape[1]))
+    centers[0] = x[rng.integers(n)]
+    dist2 = ((x - centers[0]) ** 2).sum(axis=1)
+    for c in range(1, k):
+        total = dist2.sum()
+        if total > 0:
+            idx = rng.choice(n, p=dist2 / total)
+        else:  # all remaining points coincide with chosen centers
+            idx = rng.integers(n)
+        centers[c] = x[idx]
+        dist2 = np.minimum(dist2, ((x - centers[c]) ** 2).sum(axis=1))
+    return centers
+
+
+def _lloyd(x: np.ndarray, centers: np.ndarray, max_iter: int) -> tuple[np.ndarray, float]:
+    k = centers.shape[0]
+    prev_wcss = np.inf
+    labels = np.zeros(x.shape[0], dtype=np.int64)
+    for _ in range(max_iter):
+        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        labels = np.argmin(d2, axis=1)
+        # refill empty clusters with the point farthest from its center
+        for c in range(k):
+            if not np.any(labels == c):
+                farthest = int(np.argmax(d2[np.arange(x.shape[0]), labels]))
+                labels[farthest] = c
+                d2[farthest, :] = np.inf
+                d2[farthest, c] = 0.0
+        wcss = float(d2[np.arange(x.shape[0]), labels].sum())
+        if not wcss <= prev_wcss + 1e-9 * (1.0 + abs(prev_wcss)):
+            raise AssertionError(f"k-means objective increased: {prev_wcss} -> {wcss}")
+        new_centers = centers.copy()
+        for c in range(k):
+            members = x[labels == c]
+            if members.size:
+                new_centers[c] = members.mean(axis=0)
+        if np.array_equal(new_centers, centers):
+            return labels, wcss
+        centers = new_centers
+        prev_wcss = wcss
+    d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    labels = np.argmin(d2, axis=1)
+    return labels, float(d2[np.arange(x.shape[0]), labels].sum())
+
+
+def kmeans(
+    x: np.ndarray,
+    k: int,
+    rng: np.random.Generator,
+    max_iter: int = 300,
+    restarts: int = 10,
+) -> np.ndarray:
+    """Lloyd's algorithm with k-means++ seeding, best of ``restarts`` by WCSS; returns labels."""
+    n = x.shape[0]
+    if k == 1:
+        return np.zeros(n, dtype=np.int64)
+    if k == n:
+        return np.arange(n, dtype=np.int64)
+    best_labels, best_wcss = None, np.inf
+    for child in rng.spawn(restarts):
+        centers = _kmeans_pp_centers(x, k, child)
+        labels, wcss = _lloyd(x, centers, max_iter)
+        if wcss < best_wcss:
+            best_labels, best_wcss = labels, wcss
+    return best_labels

@@ -1,8 +1,9 @@
 """The library-backed clustering and scoring paths against the loop oracle.
 
-``tests/loop_oracle.py`` holds the per-frame loops, union-find and
-per-class masks that SciPy and NumPy calls replaced. Scores, FINCH
-levels, relabelling and run splitting must be exactly equal to them.
+``tests/loop_oracle.py`` holds the per-frame loops, union-find,
+difference-tensor k-means and per-class masks that SciPy and NumPy
+calls replaced. Scores, FINCH levels, relabelling, run splitting and
+k-means labels must be exactly equal to them.
 """
 
 import tracemalloc
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import loop_oracle
 from tsaseg import cluster
-from tsaseg.cluster import Segmentation, finch, spectral
+from tsaseg.cluster import KMEANS_RESTARTS, Segmentation, finch, kmeans, spectral
 from tsaseg.evaluate import MatchResult, contingency, f1, iou, mof, score
 
 
@@ -94,6 +95,75 @@ class TestClusteringMatchesOracle:
         runs = np.sort(labels)
         for seq in (labels, runs):
             assert Segmentation(seq, k).segments == loop_oracle.segments(seq)
+
+
+def points_with_duplicates(rng, n, d, distinct):
+    """n rows drawn from ``distinct`` random points, so rows repeat when distinct < n."""
+    return rng.standard_normal((distinct, d))[rng.integers(distinct, size=n)]
+
+
+def recording_lloyd(module, record):
+    """Patch ``module._lloyd`` to append (seed centers, labels, WCSS) of every restart."""
+    original = module._lloyd
+
+    def run(x, centers, *args):
+        labels, wcss = original(x, centers, *args)
+        record.append((centers, labels, wcss))
+        return labels, wcss
+
+    return mock.patch.object(module, "_lloyd", run)
+
+
+class TestKmeansMatchesOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), d=st.integers(1, 64),
+           k=st.integers(1, 40), distinct=st.integers(1, 40))
+    def test_labels_and_wcss_equal_difference_tensor(self, seed, n, d, k, distinct):
+        rng = np.random.default_rng(seed)
+        k, distinct = min(k, n), min(distinct, n)
+        x = points_with_duplicates(rng, n, d, distinct)
+        restarts, oracle_restarts = [], []
+        with recording_lloyd(cluster, restarts):
+            labels = kmeans(x, k, np.random.default_rng(seed)).labels
+        with recording_lloyd(loop_oracle, oracle_restarts):
+            oracle_labels = loop_oracle.kmeans(x, k, np.random.default_rng(seed))
+        assert np.array_equal(labels, oracle_labels)
+        assert len(restarts) == len(oracle_restarts) == (KMEANS_RESTARTS if 1 < k < n else 0)
+        for (centers, got, wcss), (want_centers, want, want_wcss) in zip(restarts, oracle_restarts):
+            assert np.array_equal(centers, want_centers)
+            assert np.array_equal(got, want)
+            if d <= 7:  # cdist sums the same terms in the same order as numpy below 8
+                assert wcss == want_wcss
+            else:
+                assert abs(wcss - want_wcss) <= 1e-12 * max(abs(want_wcss), 1e-300)
+
+    def test_empty_cluster_refill_equals_oracle(self):
+        # fewer distinct points than clusters: seeding repeats a center, and
+        # argmin's first-index tie-break leaves the repeat's cluster empty
+        empties = 0
+        for seed, d in enumerate((3, 64)):
+            x = points_with_duplicates(np.random.default_rng(seed), 30, d, 4)
+            restarts = []
+            with recording_lloyd(loop_oracle, restarts):
+                want = loop_oracle.kmeans(x, 6, np.random.default_rng(seed))
+            assert np.array_equal(kmeans(x, 6, np.random.default_rng(seed)).labels, want)
+            for centers, _, _ in restarts:
+                first = np.argmin(((x[:, None, :] - centers[None]) ** 2).sum(axis=2), axis=1)
+                empties += len(centers) - np.unique(first).size
+        assert empties > 0
+
+    def test_peak_below_two_feature_matrices(self):
+        n, d, k = 4000, 64, 6
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((k, d))[rng.integers(k, size=n)] + 0.5 * rng.standard_normal((n, d))
+        tracemalloc.start()
+        try:
+            kmeans(x, k, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the n x k x d difference tensor alone was n * k * d * 8 bytes (11.7 MiB)
+        assert peak < 2 * n * d * 8
 
 
 class TestSpectralMemory:
