@@ -251,7 +251,7 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def render_segmentation_svg(gt, preds, width: int = 900) -> str:
+def render_segmentation_svg(gt, preds) -> str:
     """One horizontal bar per sequence (ground truth first).
 
     Prediction bars are recolored through the Hungarian mapping against
@@ -261,7 +261,7 @@ def render_segmentation_svg(gt, preds, width: int = 900) -> str:
     gt_labels = gt.labels if hasattr(gt, "labels") else np.asarray(gt, dtype=np.int64)
     names = list(getattr(gt, "names", [])) or [str(v) for v in np.unique(gt_labels)]
     n = gt_labels.size
-    bar_h, gap, margin_left, margin_top = 26, 12, 110, 16
+    width, bar_h, gap, margin_left, margin_top = 900, 26, 12, 110, 16
     legend_h = 26 + 18 * ((len(names) + 3) // 4)
     height = margin_top + (len(preds) + 1) * (bar_h + gap) + legend_h
     scale = (width - margin_left - 10) / n

@@ -19,7 +19,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from .data_io import FeatureMatrix
+from .data_io import FeatureMatrix, as_values
 from .similarity import cosine_similarity_matrix
 
 KMEANS_RESTARTS = 10  # k-means++ seedings per call; the lowest WCSS wins
@@ -54,10 +54,6 @@ class Segmentation:
         starts = np.flatnonzero(np.diff(self.labels)) + 1
         bounds = np.concatenate(([0], starts, [self.labels.size]))
         return [(int(a), int(b), int(self.labels[a])) for a, b in zip(bounds[:-1], bounds[1:])]
-
-
-def _values(m: FeatureMatrix | np.ndarray) -> np.ndarray:
-    return m.values if isinstance(m, FeatureMatrix) else np.asarray(m, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +116,7 @@ def _lloyd(x: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
 
 def kmeans(m: FeatureMatrix | np.ndarray, k: int, rng: np.random.Generator) -> Segmentation:
     """Lloyd's algorithm with k-means++ seeding, best of ``KMEANS_RESTARTS`` by WCSS."""
-    x = _values(m)
+    x = as_values(m)
     n = x.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
@@ -187,7 +183,7 @@ def finch(
     with at least that many clusters, merged down to exactly
     ``required_k`` by successive mutual-nearest-mean merges.
     """
-    x = _values(m)
+    x = as_values(m)
     n = x.shape[0]
     if n < 2:
         raise ValueError("need at least 2 frames")
@@ -234,7 +230,7 @@ def spectral(m: FeatureMatrix | np.ndarray, k: int, rng: np.random.Generator) ->
     of I - D^{-1/2} A D^{-1/2}, rows normalized to unit length,
     partitioned by k-means.
     """
-    x = _values(m)
+    x = as_values(m)
     n = x.shape[0]
     if not 2 <= k <= n:
         raise ValueError(f"k must lie in [2, {n}], got {k}")

@@ -13,7 +13,7 @@ Binary storage is float32; everything in memory is float64.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,16 +32,9 @@ class FeatureMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise ValueError(f"feature matrix must be 2-D, got shape {values.shape}")
-        if values.shape[0] < 2 or values.shape[1] < 1:
-            raise ValueError(
-                f"feature matrix needs at least 2 frames and 1 dimension, got {values.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            bad = np.argwhere(~np.isfinite(values))[0]
-            raise ValueError(f"non-finite feature value at frame {bad[0]}, dim {bad[1]}")
+        values = as_values(self.values)
+        if values.shape[0] < 2:
+            raise ValueError(f"feature matrix needs at least 2 frames, got {values.shape}")
         object.__setattr__(self, "values", values)
 
     @property
@@ -106,8 +99,6 @@ class RunConfig:
     max_epochs: int = 50
     seed: int = 0
     positive_fraction: float = 0.05
-    kl_smoothing: float = 1e-8
-    loss_orientation: str = "standard"
     # Ablation switches: which distributions feed selection and loss, and
     # whether the loss compares similarity PDFs or raw feature distances.
     similarity_mode: str = "combined"
@@ -143,10 +134,6 @@ class RunConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
         if not 0 < self.positive_fraction < 1:
             raise ValueError("positive_fraction must lie in (0, 1)")
-        if self.kl_smoothing <= 0:
-            raise ValueError("kl_smoothing must be positive")
-        if self.loss_orientation not in ("standard", "literal"):
-            raise ValueError("loss_orientation must be 'standard' or 'literal'")
         if self.similarity_mode not in ("combined", "semantic_only", "temporal_only"):
             raise ValueError(
                 "similarity_mode must be 'combined', 'semantic_only' or 'temporal_only'"
@@ -174,20 +161,27 @@ DATASET_PRESETS: dict[str, RunConfig] = {
 }
 
 
-def _as_values(m: FeatureMatrix | np.ndarray) -> np.ndarray:
+def as_values(m: FeatureMatrix | np.ndarray) -> np.ndarray:
+    """The float64 rows of a feature matrix or array, checked 2-D, non-empty and finite.
+
+    Every library function that takes features reads them through here.
+    A single row passes, so :func:`save_features` can write one; callers
+    that need more frames check the count themselves.
+    """
     if isinstance(m, FeatureMatrix):
         return m.values
     values = np.asarray(m, dtype=np.float64)
     if values.ndim != 2 or values.size == 0:
         raise ValueError(f"expected a non-empty 2-D array, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
-        raise ValueError("non-finite value in matrix")
+        bad = np.argwhere(~np.isfinite(values))[0]
+        raise ValueError(f"non-finite feature value at frame {bad[0]}, dim {bad[1]}")
     return values
 
 
 def save_features(m: FeatureMatrix | np.ndarray, path: str | Path, fmt: str = "text") -> None:
     """Write a feature matrix in the text or binary format."""
-    values = _as_values(m)
+    values = as_values(m)
     path = Path(path)
     if fmt == "text":
         lines = [f"{values.shape[0]} {values.shape[1]}\n"]
@@ -297,18 +291,16 @@ def load_labels(path: str | Path, background: str | None = None) -> LabelSequenc
     return LabelSequence(labels, tuple(ids), background_id=background_id)
 
 
-def save_labels(labels, path: str | Path, names: tuple[str, ...] | None = None) -> None:
+def save_labels(labels, path: str | Path) -> None:
     """Write one label token per line.
 
     Accepts a LabelSequence (tokens are its names) or a plain integer
-    array (tokens are the decimal label values, unless ``names`` given).
+    array (tokens are the decimal label values).
     """
     if isinstance(labels, LabelSequence):
-        names = labels.names
-        values = labels.labels
+        tokens = [labels.names[v] for v in labels.labels.tolist()]
     else:
-        values = np.asarray(labels, dtype=np.int64)
-    tokens = [names[v] if names is not None else str(v) for v in values.tolist()]
+        tokens = [str(v) for v in np.asarray(labels, dtype=np.int64).tolist()]
     Path(path).write_text("".join(t + "\n" for t in tokens), encoding="utf-8")
 
 
@@ -337,9 +329,8 @@ def load_config(path: str | Path) -> dict[str, str]:
     return out
 
 
-def make_config(base: RunConfig | None = None, **overrides) -> RunConfig:
-    """Build a RunConfig from a base plus string or typed overrides."""
-    base = base or RunConfig()
+def make_config(**overrides) -> RunConfig:
+    """Build a RunConfig from the defaults plus string or typed overrides."""
     coerced = {}
     types = {f.name: str(f.type) for f in fields(RunConfig)}
     for key, value in overrides.items():
@@ -354,7 +345,7 @@ def make_config(base: RunConfig | None = None, **overrides) -> RunConfig:
             elif kind.startswith("float"):
                 value = float(value)
         coerced[key] = value
-    return replace(base, **coerced)
+    return RunConfig(**coerced)
 
 
 def config_lines(config: RunConfig) -> list[str]:

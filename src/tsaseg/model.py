@@ -10,10 +10,9 @@ gradients), then descends the hinge loss
 
     mean over triplets of max(0, KL(f(i)||f(i+)) - KL(f(i)||f(i-)))
 
-one gradient step per pooled anchor batch, in the default "standard"
-orientation; "literal" swaps the two KL terms. All gradients are
-computed analytically here and are checked against central finite
-differences in the test suite.
+one gradient step per pooled anchor batch. All gradients are computed
+analytically here and are checked against central finite differences
+in the test suite.
 
 Training keeps no N x N state. The per-frame part of the chain (MLP
 activations, learned rows and their unit vectors) is N x d; rows of the
@@ -33,12 +32,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_io import FeatureMatrix, RunConfig
+from .data_io import FeatureMatrix, RunConfig, as_values
 from .similarity import (
+    KL_SMOOTHING,
     AffinityMatrix,
     TemporalKernel,
     ZeroNormRowError,
     combined_rows,
+    cosine_similarity_matrix,
     frame_positions,
     semantic_distribution,
     temporal_distribution,
@@ -176,10 +177,10 @@ def _tiled_identity(fan_out: int, fan_in: int) -> np.ndarray:
 
 def forward(model: TsaModel, X: FeatureMatrix | np.ndarray) -> np.ndarray:
     """Map frame features through the MLP: z = W2 relu(W1 x + b1) + b2."""
-    values = X.values if isinstance(X, FeatureMatrix) else np.asarray(X, dtype=np.float64)
-    if values.ndim != 2 or values.shape[1] != model.n_dims:
+    values = as_values(X)
+    if values.shape[1] != model.n_dims:
         raise ValueError(
-            f"feature width {values.shape[-1]} does not match model width {model.n_dims}"
+            f"feature width {values.shape[1]} does not match model width {model.n_dims}"
         )
     h = values
     last = len(model.weights) - 1
@@ -201,31 +202,18 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(p * (np.log(p) - np.log(q))))
 
 
-def triplet_loss(
-    f_ts: AffinityMatrix | np.ndarray,
-    triplets: list[Triplet],
-    orientation: str = "standard",
-) -> float:
+def triplet_loss(f_ts: AffinityMatrix | np.ndarray, triplets: list[Triplet]) -> float:
     """Mean hinge of paired KL divergences over the triplet list."""
     if not triplets:
         raise ValueError("empty triplet list")
     rows = f_ts.rows if isinstance(f_ts, AffinityMatrix) else np.asarray(f_ts, dtype=np.float64)
-    sign = _orientation_sign(orientation)
     total = 0.0
     for t in triplets:
         gap = kl_divergence(rows[t.anchor], rows[t.positive]) - kl_divergence(
             rows[t.anchor], rows[t.negative]
         )
-        total += max(0.0, sign * gap)
+        total += max(0.0, gap)
     return total / len(triplets)
-
-
-def _orientation_sign(orientation: str) -> float:
-    if orientation == "standard":
-        return 1.0
-    if orientation == "literal":
-        return -1.0
-    raise ValueError(f"unknown loss orientation {orientation!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +279,7 @@ def _distribution_rows(cache: dict, index: np.ndarray, config: RunConfig) -> dic
         mixed = FS
     else:  # temporal_only
         mixed = ft
-    smoothed = mixed + config.kl_smoothing
+    smoothed = mixed + KL_SMOOTHING
     su = smoothed.sum(axis=1)
     F = smoothed / su[:, None]
     return {"S": S, "K": K, "sk": sk, "FS": FS, "ft": ft, "alpha": alpha, "su": su, "F": F}
@@ -344,7 +332,6 @@ def _loss_and_gradients(
     frames = np.array([(t.anchor, t.positive, t.negative) for t in triplets]).T.ravel()
     index, local = np.unique(frames, return_inverse=True)
     ai, pi, ni = local.reshape(3, n_t)
-    sign = _orientation_sign(config.loss_orientation)
     rows = _distribution_rows(cache, index, config)
     da_raw = np.zeros_like(model.a_raw)
 
@@ -353,10 +340,10 @@ def _loss_and_gradients(
         logF = np.log(F)
         kl_pos = np.einsum("tk,tk->t", F[ai], logF[ai] - logF[pi])
         kl_neg = np.einsum("tk,tk->t", F[ai], logF[ai] - logF[ni])
-        gaps = sign * (kl_pos - kl_neg)
+        gaps = kl_pos - kl_neg
         active = gaps > 0
         loss = float(np.maximum(gaps, 0.0).mean())
-        coeff = sign * active.astype(np.float64) / n_t
+        coeff = active.astype(np.float64) / n_t
         dF = np.zeros_like(F)
         np.add.at(dF, ai, coeff[:, None] * (logF[ni] - logF[pi]))
         np.add.at(dF, pi, coeff[:, None] * (-F[ai] / F[pi]))
@@ -365,10 +352,10 @@ def _loss_and_gradients(
     else:  # raw cosine-distance triplet loss: no PDFs inside the loss
         S = rows["S"]
         p, q = index[pi], index[ni]
-        gaps = sign * (S[ai, q] - S[ai, p])
+        gaps = S[ai, q] - S[ai, p]
         active = gaps > 0
         loss = float(np.maximum(gaps, 0.0).mean())
-        coeff = sign * active.astype(np.float64) / n_t
+        coeff = active.astype(np.float64) / n_t
         dS = np.zeros_like(S)
         np.add.at(dS, (ai, q), coeff)
         np.add.at(dS, (ai, p), -coeff)
@@ -439,18 +426,18 @@ def combined_distribution(
     Built from the public operations (not the gradient engine), so it
     doubles as an independent reference path in tests.
     """
-    values = X.values if isinstance(X, FeatureMatrix) else np.asarray(X, dtype=np.float64)
+    values = as_values(X)
     n = values.shape[0]
     ft = temporal_distribution(n, TemporalKernel(config.L), positions)
     if config.similarity_mode == "temporal_only":
         rows = ft.rows
-        smoothed = rows + config.kl_smoothing
+        smoothed = rows + KL_SMOOTHING
         return AffinityMatrix(smoothed / smoothed.sum(axis=1, keepdims=True), kind="combined")
     fs = semantic_distribution(forward(model, values), config.h)
     if config.similarity_mode == "semantic_only":
-        smoothed = fs.rows + config.kl_smoothing
+        smoothed = fs.rows + KL_SMOOTHING
         return AffinityMatrix(smoothed / smoothed.sum(axis=1, keepdims=True), kind="combined")
-    rows = combined_rows(fs.rows, ft.rows, model.alpha, config.kl_smoothing)
+    rows = combined_rows(fs.rows, ft.rows, model.alpha, KL_SMOOTHING)
     return AffinityMatrix(rows, kind="combined")
 
 
@@ -464,15 +451,11 @@ def training_loss(
     """Loss at the current parameters for a fixed triplet list (public-op path)."""
     if config.loss_features == "pdf":
         f_ts = combined_distribution(model, X, config, positions)
-        return triplet_loss(f_ts, triplets, config.loss_orientation)
-    values = X.values if isinstance(X, FeatureMatrix) else np.asarray(X, dtype=np.float64)
-    from .similarity import cosine_similarity_matrix
-
-    sims = cosine_similarity_matrix(forward(model, values))
-    sign = _orientation_sign(config.loss_orientation)
+        return triplet_loss(f_ts, triplets)
+    sims = cosine_similarity_matrix(forward(model, X))
     total = 0.0
     for t in triplets:
-        total += max(0.0, sign * (sims[t.anchor, t.negative] - sims[t.anchor, t.positive]))
+        total += max(0.0, sims[t.anchor, t.negative] - sims[t.anchor, t.positive])
     return total / len(triplets)
 
 
@@ -487,7 +470,7 @@ def backward(
 
     Raises DivergenceError if any component is non-finite.
     """
-    values = X.values if isinstance(X, FeatureMatrix) else np.asarray(X, dtype=np.float64)
+    values = as_values(X)
     positions = frame_positions(values.shape[0], positions)
     cache = _forward_chain(model, values, positions)
     _, grads = _loss_and_gradients(model, cache, triplets, config)
@@ -503,9 +486,7 @@ class TrainState:
 
     epoch: int = 0
     loss_history: list[float] = field(default_factory=list)
-    lr: float = 0.0
     bad_steps: int = 0
-    rng: np.random.Generator | None = None
     diverged: bool = False
 
 
@@ -538,7 +519,7 @@ def train(
     subsequence, so temporal distances refer to the unfiltered video.
     ``triplet_sink(epoch, triplets)`` observes each epoch's selection.
     """
-    values = X.values if isinstance(X, FeatureMatrix) else np.asarray(X, dtype=np.float64)
+    values = as_values(X)
     n_frames, n_dims = values.shape
     if config.batch_size > n_frames:
         raise ValueError(
@@ -555,7 +536,7 @@ def train(
         X=values,
     )
     positions = frame_positions(n_frames, positions)
-    state = TrainState(rng=master, lr=config.learning_rate)
+    state = TrainState()
     snapshot = model.copy()
     for epoch in range(1, config.max_epochs + 1):
         lr = config.learning_rate * config.lr_decay ** (epoch - 1)
@@ -591,7 +572,6 @@ def train(
         epoch_loss = float(np.mean(batch_losses))
         state.epoch = epoch
         state.loss_history.append(epoch_loss)
-        state.lr = config.learning_rate * config.lr_decay**epoch
         if on_epoch is not None:
             on_epoch(epoch, epoch_loss, lr)
         if len(state.loss_history) >= 2 and (

@@ -17,7 +17,15 @@ from pathlib import Path
 import numpy as np
 
 from .cluster import equal_split, finch, kmeans, spectral
-from .data_io import DATASET_PRESETS, FeatureMatrix, LabelSequence, RunConfig, load_features, load_labels
+from .data_io import (
+    DATASET_PRESETS,
+    FeatureMatrix,
+    LabelSequence,
+    RunConfig,
+    as_values,
+    load_features,
+    load_labels,
+)
 from .evaluate import Scores, remove_background, score
 from .model import train
 
@@ -26,7 +34,7 @@ def segment_features(
     m: FeatureMatrix | np.ndarray, method: str, k: int, rng: np.random.Generator
 ):
     """Dispatch to a clusterer by name: kmeans, finch, spectral, or equal."""
-    values = m.values if isinstance(m, FeatureMatrix) else np.asarray(m, dtype=np.float64)
+    values = as_values(m)
     if method == "kmeans":
         return kmeans(values, k, rng)
     if method == "finch":

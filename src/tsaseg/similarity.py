@@ -15,9 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import FeatureMatrix
+from .data_io import FeatureMatrix, as_values
 
 ROW_SUM_TOL = 1e-9
+KL_SMOOTHING = 1e-8
+"""Mass added to every entry of a combined row before renormalizing, so KL sees full support."""
 
 
 class ZeroNormRowError(ValueError):
@@ -37,6 +39,9 @@ class AffinityMatrix:
             raise ValueError(f"affinity matrix must be square, got shape {rows.shape}")
         if self.kind not in ("semantic", "temporal", "combined"):
             raise ValueError(f"unknown affinity kind {self.kind!r}")
+        if not np.all(np.isfinite(rows)):
+            bad = np.argwhere(~np.isfinite(rows))[0]
+            raise ValueError(f"non-finite affinity entry at row {bad[0]}, column {bad[1]}")
         if rows.min() < 0:
             raise ValueError("affinity entries must be non-negative")
         sums = rows.sum(axis=1)
@@ -94,27 +99,11 @@ def cosine_similarity_matrix(values: np.ndarray) -> np.ndarray:
     return unit @ unit.T
 
 
-def semantic_kernel(values: np.ndarray, h: float, literal_distance: bool = False) -> np.ndarray:
-    """Unnormalized semantic weights exp(-(1 - cos_sim)/h).
-
-    ``literal_distance=True`` plugs the cosine *distance* into the same
-    exponent (exp(-cos_sim/h)), which rewards dissimilar pairs; it exists
-    only for ablation of that reading.
-    """
-    sims = cosine_similarity_matrix(values)
-    if literal_distance:
-        return np.exp(-sims / h)
-    return np.exp((sims - 1.0) / h)
-
-
-def semantic_distribution(
-    m: FeatureMatrix | np.ndarray, h: float, literal_distance: bool = False
-) -> AffinityMatrix:
-    """Row-normalized exponential kernel over pairwise cosine similarity."""
+def semantic_distribution(m: FeatureMatrix | np.ndarray, h: float) -> AffinityMatrix:
+    """Row-normalized kernel exp(-(1 - cos_sim)/h) over pairwise cosine similarity."""
     if h <= 0:
         raise ValueError("bandwidth h must be positive")
-    values = m.values if isinstance(m, FeatureMatrix) else np.asarray(m, dtype=np.float64)
-    weights = semantic_kernel(values, h, literal_distance=literal_distance)
+    weights = np.exp((cosine_similarity_matrix(as_values(m)) - 1.0) / h)
     rows = weights / weights.sum(axis=1, keepdims=True)
     return AffinityMatrix(rows, kind="semantic")
 
@@ -128,6 +117,9 @@ def frame_positions(n_frames: int, positions: np.ndarray | None = None) -> np.nd
     positions = np.asarray(positions, dtype=np.float64)
     if positions.shape != (n_frames,):
         raise ValueError("positions must have one entry per frame")
+    if not np.all(np.isfinite(positions)):
+        i = int(np.argwhere(~np.isfinite(positions))[0][0])
+        raise ValueError(f"non-finite frame position {positions[i]} at index {i}")
     return positions
 
 
@@ -163,7 +155,7 @@ def combine(
     fs: AffinityMatrix | np.ndarray,
     ft: AffinityMatrix | np.ndarray,
     alpha: np.ndarray,
-    smoothing: float = 1e-8,
+    smoothing: float = KL_SMOOTHING,
 ) -> AffinityMatrix:
     """Per-frame convex combination alpha*f_t + (1-alpha)*f_s, smoothed.
 

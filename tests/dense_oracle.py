@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from tsaseg.data_io import RunConfig
-from tsaseg.model import TsaModel, _orientation_sign, _sigmoid
-from tsaseg.similarity import ZeroNormRowError
+from tsaseg.model import TsaModel, _sigmoid
+from tsaseg.similarity import KL_SMOOTHING, ZeroNormRowError
 from tsaseg.triplet import Triplet
 
 
@@ -49,7 +49,7 @@ def _forward_chain(model: TsaModel, X: np.ndarray, ft_rows: np.ndarray, config: 
         mixed = FS
     else:  # temporal_only
         mixed = ft_rows
-    smoothed = mixed + config.kl_smoothing
+    smoothed = mixed + KL_SMOOTHING
     su = smoothed.sum(axis=1)
     F = smoothed / su[:, None]
     cache.update(
@@ -79,7 +79,6 @@ def _loss_and_gradients(
     ai = np.array([t.anchor for t in triplets])
     pi = np.array([t.positive for t in triplets])
     ni = np.array([t.negative for t in triplets])
-    sign = _orientation_sign(config.loss_orientation)
     F = cache["F"]
     S = cache["S"]
 
@@ -87,20 +86,20 @@ def _loss_and_gradients(
         logF = np.log(F)
         kl_pos = np.einsum("tk,tk->t", F[ai], logF[ai] - logF[pi])
         kl_neg = np.einsum("tk,tk->t", F[ai], logF[ai] - logF[ni])
-        gaps = sign * (kl_pos - kl_neg)
+        gaps = kl_pos - kl_neg
         active = gaps > 0
         loss = float(np.maximum(gaps, 0.0).mean())
-        coeff = sign * active.astype(np.float64) / n_t
+        coeff = active.astype(np.float64) / n_t
         dF = np.zeros_like(F)
         np.add.at(dF, ai, coeff[:, None] * (logF[ni] - logF[pi]))
         np.add.at(dF, pi, coeff[:, None] * (-F[ai] / F[pi]))
         np.add.at(dF, ni, coeff[:, None] * (F[ai] / F[ni]))
         dS, da_raw = _pdf_chain_to_similarity(model, cache, dF, config)
     else:  # raw cosine-distance triplet loss: no PDFs inside the loss
-        gaps = sign * (S[ai, ni] - S[ai, pi])
+        gaps = S[ai, ni] - S[ai, pi]
         active = gaps > 0
         loss = float(np.maximum(gaps, 0.0).mean())
-        coeff = sign * active.astype(np.float64) / n_t
+        coeff = active.astype(np.float64) / n_t
         dS = np.zeros_like(S)
         np.add.at(dS, (ai, ni), coeff)
         np.add.at(dS, (ai, pi), -coeff)

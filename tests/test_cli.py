@@ -60,6 +60,17 @@ class TestTrainCommand:
             for l in epoch_lines
         )
 
+    @pytest.mark.parametrize("key", ["loss_orientation", "kl_smoothing"])
+    def test_removed_config_key_exits_one(self, video_files, tmp_path, capsys, key):
+        features, _ = video_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        code = main(["train", "--features", str(features), "--out-z", str(tmp_path / "z.bin"),
+                     "--config", str(cfg)])
+        assert code == 1
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "z.bin").exists()
+
     def test_missing_features_exits_one(self, tmp_path, capsys):
         code = main(["train", "--features", str(tmp_path / "absent.txt"),
                      "--out-z", str(tmp_path / "z.bin")])

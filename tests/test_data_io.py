@@ -197,8 +197,6 @@ class TestRunConfig:
             {"lr_decay": 0.0},
             {"min_epochs": 5, "max_epochs": 2},
             {"positive_fraction": 1.0},
-            {"loss_orientation": "sideways"},
-            {"kl_smoothing": 0.0},
             {"init_scheme": "zeros"},
         ],
     )

@@ -68,7 +68,7 @@ def generic_instance(seed, n_frames=20, n_dims=8, n_triplets=8, **config_kw):
         well_conditioned = (
             np.min(np.abs(pre_act)) > 1e-4
             and np.min(np.abs(gaps)) > 1e-3
-            and np.max(gaps) > 0.0  # active hinge terms for both orientations
+            and np.max(gaps) > 0.0  # some hinge terms active, some inactive
             and np.min(gaps) < 0.0
         )
         if well_conditioned:
@@ -172,24 +172,18 @@ class TestTripletLoss:
         t = [Triplet(0, 1, 2)]
         kl_pos = kl_divergence(fts.rows[0], fts.rows[1])
         kl_neg = kl_divergence(fts.rows[0], fts.rows[2])
-        assert triplet_loss(fts, t, "standard") == pytest.approx(
-            max(0.0, kl_pos - kl_neg), abs=1e-15
-        )
-        assert triplet_loss(fts, t, "literal") == pytest.approx(
-            max(0.0, kl_neg - kl_pos), abs=1e-15
-        )
+        assert triplet_loss(fts, t) == pytest.approx(max(0.0, kl_pos - kl_neg), abs=1e-15)
 
     def test_perfect_positive_inactive_hinge(self):
         rows = self._rows().rows.copy()
         rows[1] = rows[0]
         fts = AffinityMatrix(rows, kind="semantic")
-        assert triplet_loss(fts, [Triplet(0, 1, 2)], "standard") == 0.0
+        assert triplet_loss(fts, [Triplet(0, 1, 2)]) == 0.0
 
     def test_all_equal_rows_zero_both_orientations(self):
         rows = np.full((3, 3), 1.0 / 3.0)
         fts = AffinityMatrix(rows, kind="semantic")
-        for orientation in ("standard", "literal"):
-            assert triplet_loss(fts, [Triplet(0, 1, 2)], orientation) == 0.0
+        assert triplet_loss(fts, [Triplet(0, 1, 2)]) == 0.0
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -206,7 +200,6 @@ class TestBackward:
     @pytest.mark.parametrize(
         "kw",
         [
-            {"loss_orientation": "literal"},
             {"similarity_mode": "semantic_only"},
             {"loss_features": "raw"},
             {"hidden_layers": 2},
@@ -371,6 +364,28 @@ class TestTrain:
                 seg = kmeans(z, 4, np.random.default_rng(seed))
                 sink.append(score(seg, gt)[0].mof)
         assert abs(float(np.mean(scores_n)) - float(np.mean(scores_2n))) < 0.02
+
+    def test_uniform_pooling_trains(self):
+        feats, _ = self._video()
+        cfg = RunConfig(batch_size=16, seed=0, max_epochs=4, pool_mode="uniform")
+        _, z, state = train(feats, cfg)
+        assert not state.diverged
+        assert cfg.min_epochs <= state.epoch <= cfg.max_epochs
+        assert all(math.isfinite(v) for v in state.loss_history)
+        assert z.n_frames == feats.n_frames
+
+    def test_non_finite_position_rejected_before_training(self):
+        # unchecked, an inf position trains to a zero loss and a NaN one
+        # is reported as divergence
+        feats, _ = self._video()
+        epochs = []
+        for bad in (np.inf, np.nan):
+            positions = np.arange(feats.n_frames, dtype=np.float64)
+            positions[3] = bad
+            with pytest.raises(ValueError, match="non-finite frame position .* at index 3"):
+                train(feats, RunConfig(batch_size=16, max_epochs=3), positions=positions,
+                      on_epoch=lambda e, loss, lr: epochs.append(e))
+        assert epochs == []
 
     def test_triplet_sink_sees_every_epoch(self):
         feats, _ = self._video()

@@ -62,7 +62,7 @@ def random_instance(rng, n, d, positions_gapped, **config_kw):
 
 
 def hinge_gaps(F, triplets, raw):
-    """Per-triplet hinge argument (standard orientation) from dense rows."""
+    """Per-triplet hinge argument from dense rows."""
     if raw:
         return np.array([F[t.anchor, t.negative] - F[t.anchor, t.positive] for t in triplets])
     logF = np.log(F)
@@ -78,21 +78,19 @@ class TestGradientOracle:
         hidden_layers=st.sampled_from((1, 2)),
         similarity_mode=st.sampled_from(MODES),
         loss_features=st.sampled_from(("pdf", "raw")),
-        loss_orientation=st.sampled_from(("standard", "literal")),
         per_anchor=st.integers(1, 4),
         n_anchors=st.integers(1, 4),
         positions_gapped=st.booleans(),
     )
     def test_matches_dense_engine(
         self, seed, n, d, hidden_layers, similarity_mode, loss_features,
-        loss_orientation, per_anchor, n_anchors, positions_gapped,
+        per_anchor, n_anchors, positions_gapped,
     ):
         rng = np.random.default_rng(seed)
         model, X, config, positions = random_instance(
             rng, n, d, positions_gapped,
             hidden_layers=hidden_layers, similarity_mode=similarity_mode,
-            loss_features=loss_features, loss_orientation=loss_orientation,
-            per_anchor=per_anchor,
+            loss_features=loss_features, per_anchor=per_anchor,
         )
         # Anchors repeat across triplets (per_anchor > 1, and anchors drawn
         # with replacement), and frames recur as positive and negative.

@@ -98,13 +98,6 @@ class TestSemanticDistribution:
         fs = semantic_distribution(np.vstack([base, near, far]), 1.0)
         assert fs.rows[0, 1] > fs.rows[0, 2]
 
-    def test_literal_distance_inverts_ordering(self):
-        base = np.array([1.0, 0.0, 0.0])
-        near = np.array([0.9, 0.1, 0.0])
-        far = np.array([0.0, 1.0, 0.0])
-        fs = semantic_distribution(np.vstack([base, near, far]), 1.0, literal_distance=True)
-        assert fs.rows[0, 1] < fs.rows[0, 2]
-
     def test_invalid_bandwidth(self, rng):
         with pytest.raises(ValueError):
             semantic_distribution(rng.standard_normal((3, 2)), 0.0)
@@ -146,6 +139,11 @@ class TestTemporalDistribution:
     def test_row_sums(self):
         ft = temporal_distribution(40, TemporalKernel(9))
         assert np.max(np.abs(ft.rows.sum(axis=1) - 1.0)) <= ROW_TOL
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_position_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"non-finite frame position .* at index 1"):
+            temporal_distribution(3, TemporalKernel(6), positions=[0.0, bad, 2.0])
 
 
 class TestCombine:
@@ -221,6 +219,13 @@ class TestAffinityMatrixValidation:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             AffinityMatrix(np.full((2, 3), 1 / 3), kind="semantic")
+
+    def test_non_finite_entry_rejected(self):
+        with pytest.raises(ValueError, match="non-finite affinity entry at row 0, column 0"):
+            AffinityMatrix(np.full((2, 2), np.nan), kind="combined")
+        rows = np.array([[0.5, 0.5], [np.inf, 0.5]])
+        with pytest.raises(ValueError, match="non-finite affinity entry at row 1, column 0"):
+            AffinityMatrix(rows, kind="semantic")
 
 
 def test_affinity_matrix_exportable_as_features(tmp_path, rng):

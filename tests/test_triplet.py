@@ -6,6 +6,7 @@ from tsaseg.triplet import (
     DownsampleSet,
     Triplet,
     negative_set,
+    pool_anchors,
     positive_set,
     sample_triplets,
     stochastic_pool,
@@ -62,6 +63,14 @@ class TestStochasticPool:
         frac0 = float(np.mean(np.asarray(picks) == 0))
         expect = rows[0, 0] / np.trace(rows)
         assert abs(frac0 - expect) < 0.05
+
+    def test_uniform_mode_draws_rng_choice_per_window(self):
+        # one rng.choice(window) per window, whatever the diagonal holds
+        rng = np.random.default_rng(4)
+        want = [int(rng.choice(np.arange(s, min(s + 3, 8)))) for s in range(0, 8, 3)]
+        for diag in (np.ones(8), np.array([1.0, 0.0, 0.0, 0.0, 9.0, 0.0, 0.0, 1.0])):
+            got = pool_anchors(diag, 3, np.random.default_rng(4), "uniform")
+            assert got.indices.tolist() == want
 
     def test_determinism(self, rng):
         fts = make_fts(rng, n=25)
