@@ -106,7 +106,6 @@ class RunConfig:
     per_anchor: int = 1
     pool_mode: str = "self_affinity"
     hidden_layers: int = 1
-    hidden_width: int | None = None
     init_scheme: str = "identity"
 
     def __post_init__(self):
@@ -146,8 +145,6 @@ class RunConfig:
             raise ValueError("pool_mode must be 'self_affinity' or 'uniform'")
         if self.hidden_layers not in (1, 2):
             raise ValueError("hidden_layers must be 1 or 2")
-        if self.hidden_width is not None and self.hidden_width < 1:
-            raise ValueError("hidden_width must be positive when given")
         if self.init_scheme not in ("identity", "random"):
             raise ValueError("init_scheme must be 'identity' or 'random'")
 
@@ -338,11 +335,9 @@ def make_config(**overrides) -> RunConfig:
             raise ValueError(f"unknown config key {key!r}")
         if isinstance(value, str):
             kind = types[key]
-            if "None" in kind and value in ("None", "none"):
-                value = None
-            elif kind.startswith("int"):
+            if kind == "int":
                 value = int(value)
-            elif kind.startswith("float"):
+            elif kind == "float":
                 value = float(value)
         coerced[key] = value
     return RunConfig(**coerced)

@@ -1,8 +1,12 @@
 """Representation learning: shallow MLP, KL triplet loss, analytic gradients.
 
 The learnable map is a single-hidden-layer MLP with ReLU (optionally two
-hidden layers for the depth ablation) plus a per-frame mixing vector
-alpha stored in unconstrained form (``a_raw``, alpha = logistic(a_raw)).
+hidden layers for the depth ablation), every layer as wide as the input,
+plus a per-frame mixing vector alpha stored in unconstrained form
+(``a_raw``, alpha = logistic(a_raw)). Every row of the distribution the
+loss reads is the mix alpha*f_t + (1 - alpha)*f_s of the temporal and
+semantic rows; ``similarity_mode`` only fixes alpha: learned for
+``combined``, 0 for ``semantic_only`` and 1 for ``temporal_only``.
 
 Each training epoch selects its triplets from the combined distribution
 at the *current* learned features (selection is detached from
@@ -38,7 +42,7 @@ from .similarity import (
     AffinityMatrix,
     TemporalKernel,
     ZeroNormRowError,
-    combined_rows,
+    combine,
     cosine_similarity_matrix,
     frame_positions,
     semantic_distribution,
@@ -120,59 +124,45 @@ def init_model(
     n_frames: int,
     rng: np.random.Generator,
     hidden_layers: int = 1,
-    hidden_width: int | None = None,
     scheme: str = "random",
     X: np.ndarray | None = None,
 ) -> TsaModel:
-    """Build a fresh model; alpha starts at 0.5 (a_raw = 0) either way.
+    """Build a fresh model of n_dims x n_dims layers; alpha starts at 0.5 (a_raw = 0).
 
-    ``scheme='random'``: uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights,
-    zero biases. ``scheme='identity'``: tiled-identity weights with a bias
+    ``scheme='random'``: uniform(-1/sqrt(n_dims), 1/sqrt(n_dims)) weights,
+    zero biases. ``scheme='identity'``: identity weights with a bias
     shift that keeps every ReLU in its linear region on the given data, so
     the initial map is exactly z = x and training only moves frames the
     loss objects to. Identity needs ``X`` to size the shift.
     """
-    width = n_dims if hidden_width is None else int(hidden_width)
-    if width < 1:
-        raise ValueError("hidden width must be positive")
-    dims = [n_dims] + [width] * hidden_layers + [n_dims]
+    n_layers = hidden_layers + 1
     if scheme == "random":
-        weights, biases = [], []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            bound = 1.0 / math.sqrt(fan_in)
-            weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-            biases.append(np.zeros(fan_out))
+        bound = 1.0 / math.sqrt(n_dims)
+        weights = [rng.uniform(-bound, bound, size=(n_dims, n_dims)) for _ in range(n_layers)]
+        biases = [np.zeros(n_dims) for _ in range(n_layers)]
         return TsaModel(weights, biases, np.zeros(n_frames))
     if scheme != "identity":
         raise ValueError(f"unknown init scheme {scheme!r}")
     if X is None:
         raise ValueError("identity init needs the feature matrix to size its bias shift")
-    weights = [_tiled_identity(fan_out, fan_in) for fan_in, fan_out in zip(dims[:-1], dims[1:])]
-    shift = 1.0 + max(0.0, -float(np.min(X @ weights[0].T)))
-    biases = [np.full(dims[1], shift)]
-    carry = biases[0]
-    for w in weights[1:-1]:
-        biases.append(np.zeros(w.shape[0]))
-        carry = w @ carry
-    biases.append(-(weights[-1] @ carry))
+    shift = 1.0 + max(0.0, -float(np.min(X)))
+    weights = [np.eye(n_dims) for _ in range(n_layers)]
+    # separate arrays: training shrinks every parameter block in place
+    biases = (
+        [np.full(n_dims, shift)]
+        + [np.zeros(n_dims) for _ in range(hidden_layers - 1)]
+        + [np.full(n_dims, -shift)]
+    )
     return TsaModel(weights, biases, np.zeros(n_frames))
 
 
-def _tiled_identity(fan_out: int, fan_in: int) -> np.ndarray:
-    """Non-negative matrix composing to the identity across a layer pair.
-
-    Wider layers tile each input coordinate; narrower layers average
-    the tiles back (exact identity overall whenever widths >= n_dims).
-    """
-    w = np.zeros((fan_out, fan_in))
-    if fan_out >= fan_in:
-        for r in range(fan_out):
-            w[r, r % fan_in] = 1.0
-    else:
-        counts = np.bincount(np.arange(fan_in) % fan_out, minlength=fan_out)
-        for c in range(fan_in):
-            w[c % fan_out, c] = 1.0 / counts[c % fan_out]
-    return w
+def _mlp(model: TsaModel, X: np.ndarray) -> tuple[list, list, np.ndarray]:
+    """The hidden layers' pre-activations and inputs, and the output Z."""
+    pre_acts, layer_inputs = [], [X]
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        pre_acts.append(layer_inputs[-1] @ w.T + b)
+        layer_inputs.append(np.maximum(pre_acts[-1], 0.0))
+    return pre_acts, layer_inputs, layer_inputs[-1] @ model.weights[-1].T + model.biases[-1]
 
 
 def forward(model: TsaModel, X: FeatureMatrix | np.ndarray) -> np.ndarray:
@@ -182,13 +172,14 @@ def forward(model: TsaModel, X: FeatureMatrix | np.ndarray) -> np.ndarray:
         raise ValueError(
             f"feature width {values.shape[1]} does not match model width {model.n_dims}"
         )
-    h = values
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        h = h @ w.T + b
-        if i < last:
-            h = np.maximum(h, 0.0)
-    return h
+    return _mlp(model, values)[2]
+
+
+def _alpha(model: TsaModel, config: RunConfig) -> np.ndarray:
+    """Per-frame mixing weight of the temporal rows under ``config.similarity_mode``."""
+    if config.similarity_mode == "combined":
+        return model.alpha
+    return np.full(model.a_raw.shape, 1.0 if config.similarity_mode == "temporal_only" else 0.0)
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
@@ -197,7 +188,7 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
-    if p.min() <= 0 or q.min() <= 0:
+    if not (p.min() > 0 and q.min() > 0):
         raise ValueError("KL divergence requires strictly positive entries")
     return float(np.sum(p * (np.log(p) - np.log(q))))
 
@@ -224,39 +215,27 @@ ROW_BLOCK = 128
 """Rows of the N-wide matrices built at once by the epoch head and selection."""
 
 
-def _forward_chain(model: TsaModel, X: np.ndarray, positions: np.ndarray) -> dict:
+def _forward_chain(
+    model: TsaModel, X: np.ndarray, positions: np.ndarray, config: RunConfig
+) -> dict:
     """Run the per-frame part of the chain, caching what the row functions and backward need.
 
     Only N x d and length-N arrays are kept; rows of the N-wide matrices
     come from :func:`_distribution_rows` for the frames that need them.
     """
-    cache: dict = {"X": X, "positions": positions}
-    h = X
-    pre_acts = []
-    layer_inputs = [X]
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        a = h @ w.T + b
-        if i < last:
-            pre_acts.append(a)
-            h = np.maximum(a, 0.0)
-            layer_inputs.append(h)
-        else:
-            h = a
-    Z = h
+    pre_acts, layer_inputs, Z = _mlp(model, X)
     norms = np.linalg.norm(Z, axis=1)
     if np.any(norms == 0):
         i = int(np.argwhere(norms == 0)[0][0])
         raise ZeroNormRowError(f"learned row {i} collapsed to zero norm")
-    cache.update(
-        pre_acts=pre_acts,
-        layer_inputs=layer_inputs,
-        Z=Z,
-        norms=norms,
-        U=Z / norms[:, None],
-        alpha=_sigmoid(model.a_raw),
-    )
-    return cache
+    return {
+        "positions": positions,
+        "pre_acts": pre_acts,
+        "layer_inputs": layer_inputs,
+        "norms": norms,
+        "U": Z / norms[:, None],
+        "alpha": _alpha(model, config),
+    }
 
 
 def _distribution_rows(cache: dict, index: np.ndarray, config: RunConfig) -> dict:
@@ -273,12 +252,7 @@ def _distribution_rows(cache: dict, index: np.ndarray, config: RunConfig) -> dic
     FS = K / sk[:, None]
     ft = temporal_rows(cache["positions"], index, TemporalKernel(config.L))
     alpha = cache["alpha"][index]
-    if config.similarity_mode == "combined":
-        mixed = alpha[:, None] * ft + (1.0 - alpha[:, None]) * FS
-    elif config.similarity_mode == "semantic_only":
-        mixed = FS
-    else:  # temporal_only
-        mixed = ft
+    mixed = alpha[:, None] * ft + (1.0 - alpha[:, None]) * FS
     smoothed = mixed + KL_SMOOTHING
     su = smoothed.sum(axis=1)
     F = smoothed / su[:, None]
@@ -371,21 +345,16 @@ def _pdf_chain_to_similarity(
     """Backpropagate dL/dF through smoothing, mixing, and kernel rows.
 
     Works on the rows built by :func:`_distribution_rows`; returns
-    (dL/dS, dL/da_raw) on those rows.
+    (dL/dS, dL/da_raw) on those rows. A fixed alpha of 0 or 1 zeroes the
+    factor alpha*(1 - alpha), and alpha = 1 zeroes dL/dS.
     """
     F, FS, K, sk, su = rows["F"], rows["FS"], rows["K"], rows["sk"], rows["su"]
     alpha, ft = rows["alpha"], rows["ft"]
     # smoothing renormalization F = (mixed + eps) / su
     d_mixed = (dF - (dF * F).sum(axis=1, keepdims=True)) / su[:, None]
-    if config.similarity_mode == "combined":
-        d_alpha = ((ft - FS) * d_mixed).sum(axis=1)
-        dFS = d_mixed * (1.0 - alpha)[:, None]
-        da_raw = d_alpha * alpha * (1.0 - alpha)
-    elif config.similarity_mode == "semantic_only":
-        dFS = d_mixed
-        da_raw = np.zeros_like(alpha)
-    else:  # temporal_only: mixed rows are constants
-        return np.zeros_like(F), np.zeros_like(alpha)
+    d_alpha = ((ft - FS) * d_mixed).sum(axis=1)
+    dFS = d_mixed * (1.0 - alpha)[:, None]
+    da_raw = d_alpha * alpha * (1.0 - alpha)
     # kernel row normalization FS = K / sk
     dK = (dFS - (dFS * FS).sum(axis=1, keepdims=True)) / sk[:, None]
     # K = exp((S - 1)/h)
@@ -427,18 +396,11 @@ def combined_distribution(
     doubles as an independent reference path in tests.
     """
     values = as_values(X)
-    n = values.shape[0]
-    ft = temporal_distribution(n, TemporalKernel(config.L), positions)
-    if config.similarity_mode == "temporal_only":
-        rows = ft.rows
-        smoothed = rows + KL_SMOOTHING
-        return AffinityMatrix(smoothed / smoothed.sum(axis=1, keepdims=True), kind="combined")
-    fs = semantic_distribution(forward(model, values), config.h)
-    if config.similarity_mode == "semantic_only":
-        smoothed = fs.rows + KL_SMOOTHING
-        return AffinityMatrix(smoothed / smoothed.sum(axis=1, keepdims=True), kind="combined")
-    rows = combined_rows(fs.rows, ft.rows, model.alpha, KL_SMOOTHING)
-    return AffinityMatrix(rows, kind="combined")
+    return combine(
+        semantic_distribution(forward(model, values), config.h),
+        temporal_distribution(values.shape[0], TemporalKernel(config.L), positions),
+        _alpha(model, config),
+    )
 
 
 def training_loss(
@@ -472,7 +434,7 @@ def backward(
     """
     values = as_values(X)
     positions = frame_positions(values.shape[0], positions)
-    cache = _forward_chain(model, values, positions)
+    cache = _forward_chain(model, values, positions, config)
     _, grads = _loss_and_gradients(model, cache, triplets, config)
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
@@ -527,13 +489,7 @@ def train(
         )
     master = np.random.default_rng(config.seed)
     model = init_model(
-        n_dims,
-        n_frames,
-        master,
-        config.hidden_layers,
-        config.hidden_width,
-        scheme=config.init_scheme,
-        X=values,
+        n_dims, n_frames, master, config.hidden_layers, scheme=config.init_scheme, X=values
     )
     positions = frame_positions(n_frames, positions)
     state = TrainState()
@@ -542,7 +498,7 @@ def train(
         lr = config.learning_rate * config.lr_decay ** (epoch - 1)
         shrink = 1.0 - lr * 2.0 * config.weight_decay
         try:
-            cache = _forward_chain(model, values, positions)
+            cache = _forward_chain(model, values, positions, config)
         except ZeroNormRowError:
             state.diverged = True
             break
@@ -555,7 +511,7 @@ def train(
             for start in range(0, len(triplets), config.per_anchor):
                 batch = triplets[start : start + config.per_anchor]
                 if start > 0:
-                    cache = _forward_chain(model, values, positions)
+                    cache = _forward_chain(model, values, positions, config)
                 loss, grads = _loss_and_gradients(model, cache, batch, config)
                 if not math.isfinite(loss) or any(
                     not np.all(np.isfinite(g)) for g in grads.values()

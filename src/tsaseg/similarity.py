@@ -79,7 +79,7 @@ class TemporalKernel:
 def temporal_weight(d, kernel: TemporalKernel):
     """Evaluate w(d) = -1 + 2 exp(-d/beta); vectorized over d >= 0."""
     d = np.asarray(d, dtype=np.float64)
-    if np.any(d < 0):
+    if not np.all(d >= 0):
         raise ValueError("temporal distance must be non-negative")
     w = -1.0 + 2.0 * np.exp(-d / kernel.beta)
     return float(w) if w.ndim == 0 else w
@@ -162,19 +162,9 @@ def combine(
     ``smoothing`` is added to every entry (then rows renormalized) so the
     result has full support, which the KL divergence downstream requires.
     """
-    rows = combined_rows(
-        fs.rows if isinstance(fs, AffinityMatrix) else np.asarray(fs, dtype=np.float64),
-        ft.rows if isinstance(ft, AffinityMatrix) else np.asarray(ft, dtype=np.float64),
-        np.asarray(alpha, dtype=np.float64),
-        smoothing,
-    )
-    return AffinityMatrix(rows, kind="combined")
-
-
-def combined_rows(
-    fs: np.ndarray, ft: np.ndarray, alpha: np.ndarray, smoothing: float
-) -> np.ndarray:
-    """Raw-array core of :func:`combine`, also called by ``model.combined_distribution``."""
+    fs = fs.rows if isinstance(fs, AffinityMatrix) else np.asarray(fs, dtype=np.float64)
+    ft = ft.rows if isinstance(ft, AffinityMatrix) else np.asarray(ft, dtype=np.float64)
+    alpha = np.asarray(alpha, dtype=np.float64)
     if fs.shape != ft.shape:
         raise ValueError(f"shape mismatch: semantic {fs.shape} vs temporal {ft.shape}")
     if alpha.shape != (fs.shape[0],):
@@ -185,4 +175,4 @@ def combined_rows(
         raise ValueError("smoothing must be positive")
     mixed = alpha[:, None] * ft + (1.0 - alpha[:, None]) * fs
     smoothed = mixed + smoothing
-    return smoothed / smoothed.sum(axis=1, keepdims=True)
+    return AffinityMatrix(smoothed / smoothed.sum(axis=1, keepdims=True), kind="combined")

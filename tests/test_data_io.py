@@ -221,8 +221,3 @@ class TestRunConfig:
         path.write_text("warp_speed = 9\n")
         with pytest.raises(DataFormatError, match="unknown config key"):
             load_config(path)
-
-    def test_make_config_coerces_none(self):
-        cfg = make_config(hidden_width="none")
-        assert cfg.hidden_width is None
-        assert make_config(hidden_width="24").hidden_width == 24

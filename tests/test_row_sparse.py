@@ -112,7 +112,7 @@ class TestGradientOracle:
         assume(triplets)
 
         want_loss, want = dense_oracle._loss_and_gradients(model, dense_cache, triplets, config)
-        cache = _forward_chain(model, X, frame_positions(n, positions))
+        cache = _forward_chain(model, X, frame_positions(n, positions), config)
         loss, got = _loss_and_gradients(model, cache, triplets, config)
 
         # The loss is a mean of differences of KL divergences between rows
@@ -139,7 +139,7 @@ class TestEpochHead:
                     rng, n, 6, gapped, similarity_mode=mode
                 )
                 dense = combined_distribution(model, X, config, positions).rows
-                cache = _forward_chain(model, X, frame_positions(n, positions))
+                cache = _forward_chain(model, X, frame_positions(n, positions), config)
                 assert np.allclose(_diagonal(cache, config), np.diag(dense), rtol=1e-12, atol=0)
                 anchors = np.sort(rng.choice(n, size=20, replace=False))
                 rows = _distribution_rows(cache, anchors, config)["F"]
@@ -150,7 +150,7 @@ class TestEpochHead:
         n = ROW_BLOCK + 50
         model, X, config, positions = random_instance(rng, n, 5, True, per_anchor=3)
         config = replace(config, batch_size=1)  # every frame is an anchor: two blocks
-        cache = _forward_chain(model, X, frame_positions(n, positions))
+        cache = _forward_chain(model, X, frame_positions(n, positions), config)
         got = _select_epoch_triplets(cache, config, np.random.default_rng(21))
         dense = combined_distribution(model, X, config, positions)
         want_rng = np.random.default_rng(21)

@@ -53,6 +53,10 @@ class TestTemporalKernel:
         with pytest.raises(ValueError):
             temporal_weight(-1.0, TemporalKernel(4))
 
+    def test_nan_distance_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            temporal_weight(np.array([np.nan, 1.0]), TemporalKernel(4))
+
 
 class TestSemanticDistribution:
     def test_identical_frames_uniform(self):
