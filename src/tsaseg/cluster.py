@@ -45,10 +45,6 @@ class Segmentation:
         object.__setattr__(self, "labels", labels)
 
     @property
-    def n_frames(self) -> int:
-        return int(self.labels.size)
-
-    @property
     def segments(self) -> list[tuple[int, int, int]]:
         """Maximal constant runs as (start, end, label), end exclusive."""
         starts = np.flatnonzero(np.diff(self.labels)) + 1

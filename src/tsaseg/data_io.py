@@ -72,10 +72,6 @@ class LabelSequence:
     def n_frames(self) -> int:
         return int(self.labels.size)
 
-    @property
-    def n_classes(self) -> int:
-        return len(self.names)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -84,17 +80,15 @@ class RunConfig:
     ``L`` is the expected action count (temporal window parameter), ``h``
     the semantic kernel bandwidth, and ``batch_size`` doubles as the
     downsampling window length. ``epsilon_stop`` is the loss-delta
-    threshold tracked by the early-stopping patience counter.
+    threshold of early stopping; the rest of the schedule is the same for
+    every dataset (``model.LR_DECAY``, ``WEIGHT_DECAY`` and ``PATIENCE``).
     """
 
     L: int = 6
     h: float = 1.0
     batch_size: int = 32
     learning_rate: float = 0.1
-    lr_decay: float = 0.3
-    weight_decay: float = 1e-3
     epsilon_stop: float = 1e-3
-    patience: int = 2
     min_epochs: int = 2
     max_epochs: int = 50
     seed: int = 0
@@ -117,14 +111,8 @@ class RunConfig:
             raise ValueError("batch_size must be positive")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if not 0 < self.lr_decay <= 1:
-            raise ValueError("lr_decay must lie in (0, 1]")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
         if self.epsilon_stop <= 0:
             raise ValueError("epsilon_stop must be positive")
-        if self.patience < 1:
-            raise ValueError("patience must be a positive integer")
         if self.min_epochs < 1 or self.max_epochs < 1:
             raise ValueError("epoch bounds must be positive")
         if self.min_epochs > self.max_epochs:
@@ -193,23 +181,25 @@ def save_features(m: FeatureMatrix | np.ndarray, path: str | Path, fmt: str = "t
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def load_features(path: str | Path, fmt: str = "auto") -> FeatureMatrix:
-    """Load a feature matrix; ``fmt='auto'`` sniffs the binary magic bytes."""
+def load_features(path: str | Path) -> FeatureMatrix:
+    """Load a feature matrix: binary if the file starts with the magic bytes, text otherwise."""
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"feature file not found: {path}")
-    if fmt == "auto":
-        with path.open("rb") as fh:
-            fmt = "binary" if fh.read(4) == MAGIC else "text"
-    if fmt == "binary":
-        return _load_binary(path)
-    if fmt == "text":
-        return _load_text(path)
-    raise ValueError(f"unknown format {fmt!r}")
+    with path.open("rb") as fh:
+        binary = fh.read(len(MAGIC)) == MAGIC
+    return _load_binary(path) if binary else _load_text(path)
+
+
+def _read_text(path: Path, encoding: str) -> str:
+    try:
+        return path.read_text(encoding=encoding)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: byte {exc.start}: not valid {encoding}") from exc
 
 
 def _load_text(path: Path) -> FeatureMatrix:
-    raw = path.read_text(encoding="ascii").split("\n")
+    raw = _read_text(path, "ascii").split("\n")
     if raw and raw[-1] == "":
         raw = raw[:-1]
     if not raw:
@@ -247,8 +237,8 @@ def _load_text(path: Path) -> FeatureMatrix:
 
 def _load_binary(path: Path) -> FeatureMatrix:
     blob = path.read_bytes()
-    if len(blob) < 12 or blob[:4] != MAGIC:
-        raise DataFormatError(f"{path}: missing {MAGIC!r} magic bytes")
+    if len(blob) < 12:
+        raise DataFormatError(f"{path}: truncated header")
     n_frames, n_dims = struct.unpack("<II", blob[4:12])
     expected = 12 + 4 * n_frames * n_dims
     if len(blob) != expected:
@@ -268,7 +258,7 @@ def load_labels(path: str | Path, background: str | None = None) -> LabelSequenc
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"label file not found: {path}")
-    raw = path.read_text(encoding="utf-8").split("\n")
+    raw = _read_text(path, "utf-8").split("\n")
     if raw and raw[-1] == "":
         raw = raw[:-1]
     if not raw:
@@ -312,7 +302,7 @@ def load_config(path: str | Path) -> dict[str, str]:
         raise FileNotFoundError(f"config file not found: {path}")
     known = {f.name for f in fields(RunConfig)}
     out: dict[str, str] = {}
-    for i, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
+    for i, line in enumerate(_read_text(path, "utf-8").splitlines()):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -74,22 +74,6 @@ class TsaModel:
     a_raw: np.ndarray
 
     @property
-    def W1(self) -> np.ndarray:
-        return self.weights[0]
-
-    @property
-    def b1(self) -> np.ndarray:
-        return self.biases[0]
-
-    @property
-    def W2(self) -> np.ndarray:
-        return self.weights[1]
-
-    @property
-    def b2(self) -> np.ndarray:
-        return self.biases[1]
-
-    @property
     def alpha(self) -> np.ndarray:
         """Per-frame mixing weights in (0, 1)."""
         return _sigmoid(self.a_raw)
@@ -112,11 +96,6 @@ class TsaModel:
             [b.copy() for b in self.biases],
             self.a_raw.copy(),
         )
-
-    def check_finite(self) -> None:
-        for name, param in self.param_items():
-            if not np.all(np.isfinite(param)):
-                raise DivergenceError(f"non-finite values in parameter {name}")
 
 
 def init_model(
@@ -298,7 +277,8 @@ def _loss_and_gradients(
     """Hinge loss plus analytic gradients for every parameter block.
 
     Only the rows R = anchors | positives | negatives of the N-wide
-    matrices are built; dL/dF and dL/dS vanish outside them.
+    matrices are built; dL/dF and dL/dS vanish outside them. Raises
+    DivergenceError if the loss or any gradient is non-finite.
     """
     if not triplets:
         raise ValueError("empty triplet list")
@@ -336,6 +316,8 @@ def _loss_and_gradients(
 
     grads = _similarity_to_params(model, cache, index, dS)
     grads["a_raw"] = da_raw
+    if not math.isfinite(loss) or not all(np.all(np.isfinite(g)) for g in grads.values()):
+        raise DivergenceError("non-finite loss or gradient")
     return loss, grads
 
 
@@ -384,6 +366,15 @@ def _similarity_to_params(
     return grads
 
 
+def _check_frames(model: TsaModel, n_frames: int, triplets: list[Triplet]) -> None:
+    """Reject features whose frame count is not the model's, and triplet frames past it."""
+    if n_frames != model.a_raw.size:
+        raise ValueError(f"features have {n_frames} frames, the model {model.a_raw.size}")
+    top = max((max(t.anchor, t.positive, t.negative) for t in triplets), default=0)
+    if top >= n_frames:
+        raise ValueError(f"triplet frame {top} is out of range for {n_frames} frames")
+
+
 def combined_distribution(
     model: TsaModel,
     X: FeatureMatrix | np.ndarray,
@@ -396,6 +387,7 @@ def combined_distribution(
     doubles as an independent reference path in tests.
     """
     values = as_values(X)
+    _check_frames(model, values.shape[0], [])
     return combine(
         semantic_distribution(forward(model, values), config.h),
         temporal_distribution(values.shape[0], TemporalKernel(config.L), positions),
@@ -411,10 +403,12 @@ def training_loss(
     positions: np.ndarray | None = None,
 ) -> float:
     """Loss at the current parameters for a fixed triplet list (public-op path)."""
+    values = as_values(X)
+    _check_frames(model, values.shape[0], triplets)
     if config.loss_features == "pdf":
-        f_ts = combined_distribution(model, X, config, positions)
+        f_ts = combined_distribution(model, values, config, positions)
         return triplet_loss(f_ts, triplets)
-    sims = cosine_similarity_matrix(forward(model, X))
+    sims = cosine_similarity_matrix(forward(model, values))
     total = 0.0
     for t in triplets:
         total += max(0.0, sims[t.anchor, t.negative] - sims[t.anchor, t.positive])
@@ -430,16 +424,19 @@ def backward(
 ) -> dict[str, np.ndarray]:
     """Analytic gradients of the loss for a fixed triplet list.
 
-    Raises DivergenceError if any component is non-finite.
+    Raises DivergenceError if the loss or any component is non-finite.
     """
     values = as_values(X)
+    _check_frames(model, values.shape[0], triplets)
     positions = frame_positions(values.shape[0], positions)
     cache = _forward_chain(model, values, positions, config)
-    _, grads = _loss_and_gradients(model, cache, triplets, config)
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError(f"non-finite gradient for {name}")
-    return grads
+    return _loss_and_gradients(model, cache, triplets, config)[1]
+
+
+# The published training schedule, the same for every dataset.
+LR_DECAY = 0.3  # learning-rate factor per epoch
+WEIGHT_DECAY = 1e-3  # decoupled L2 decay: each step shrinks parameters by 1 - lr*2*WEIGHT_DECAY
+PATIENCE = 2  # epochs in a row whose loss moved by less than epsilon_stop before stopping
 
 
 @dataclass
@@ -448,7 +445,6 @@ class TrainState:
 
     epoch: int = 0
     loss_history: list[float] = field(default_factory=list)
-    bad_steps: int = 0
     diverged: bool = False
 
 
@@ -466,12 +462,12 @@ def train(
     anchors' rows of F, then take one descent step per anchor batch (the
     per-frame chain is recomputed before each step and the rows of the
     batch's frames rebuilt, so gradients stay exact).
-    Steps use an exponentially decayed learning rate, constant within an
-    epoch, and decoupled L2 weight decay: every parameter block shrinks
-    by 1 - lr*2*weight_decay per step. The recorded epoch loss is the
-    mean of its batch losses. Training stops at max_epochs, or once at
-    least min_epochs ran and the epoch loss moved by less than
-    epsilon_stop for `patience` epochs in a row.
+    Steps use a learning rate decayed by LR_DECAY per epoch, constant
+    within an epoch, and decoupled L2 weight decay: every parameter block
+    shrinks by 1 - lr*2*WEIGHT_DECAY per step. The recorded epoch loss
+    is the mean of its batch losses. Training stops at max_epochs, or
+    once at least min_epochs ran and the epoch loss moved by less than
+    epsilon_stop for PATIENCE epochs in a row.
 
     A non-finite loss or gradient (or a learned row collapsing to zero
     norm, where cosine similarity is undefined) aborts the run and
@@ -494,9 +490,10 @@ def train(
     positions = frame_positions(n_frames, positions)
     state = TrainState()
     snapshot = model.copy()
+    still_epochs = 0
     for epoch in range(1, config.max_epochs + 1):
-        lr = config.learning_rate * config.lr_decay ** (epoch - 1)
-        shrink = 1.0 - lr * 2.0 * config.weight_decay
+        lr = config.learning_rate * LR_DECAY ** (epoch - 1)
+        shrink = 1.0 - lr * 2.0 * WEIGHT_DECAY
         try:
             cache = _forward_chain(model, values, positions, config)
         except ZeroNormRowError:
@@ -513,10 +510,6 @@ def train(
                 if start > 0:
                     cache = _forward_chain(model, values, positions, config)
                 loss, grads = _loss_and_gradients(model, cache, batch, config)
-                if not math.isfinite(loss) or any(
-                    not np.all(np.isfinite(g)) for g in grads.values()
-                ):
-                    raise DivergenceError("non-finite loss or gradient")
                 for name, param in model.param_items():
                     param *= shrink
                     param -= lr * grads[name]
@@ -533,10 +526,10 @@ def train(
         if len(state.loss_history) >= 2 and (
             abs(state.loss_history[-1] - state.loss_history[-2]) < config.epsilon_stop
         ):
-            state.bad_steps += 1
+            still_epochs += 1
         else:
-            state.bad_steps = 0
-        if epoch >= config.min_epochs and state.bad_steps >= config.patience:
+            still_epochs = 0
+        if epoch >= config.min_epochs and still_epochs >= PATIENCE:
             break
     final = forward(model, values)
     return model, FeatureMatrix(final), state

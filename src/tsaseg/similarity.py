@@ -52,10 +52,6 @@ class AffinityMatrix:
             raise ValueError("combined distribution must be strictly positive")
         object.__setattr__(self, "rows", rows)
 
-    @property
-    def size(self) -> int:
-        return self.rows.shape[0]
-
 
 @dataclass(frozen=True)
 class TemporalKernel:

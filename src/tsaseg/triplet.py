@@ -44,6 +44,8 @@ class Triplet:
     def __post_init__(self):
         if len({self.anchor, self.positive, self.negative}) != 3:
             raise ValueError("anchor, positive and negative must be pairwise distinct")
+        if min(self.anchor, self.positive, self.negative) < 0:
+            raise ValueError("triplet frame indices must be non-negative")
 
 
 def _rows(f_ts: AffinityMatrix | np.ndarray) -> np.ndarray:
@@ -85,19 +87,13 @@ def pool_anchors(
     return DownsampleSet(np.array(picks, dtype=np.int64))
 
 
-def positive_set(
-    f_ts: AffinityMatrix | np.ndarray, anchor: int, fraction: float = 0.05
-) -> np.ndarray:
-    """Indices of the ceil(fraction * N) highest-affinity frames in the anchor row.
+def positive_set(row: np.ndarray, anchor: int, fraction: float = 0.05) -> np.ndarray:
+    """Indices of the ceil(fraction * N) highest-affinity frames in the anchor's row.
 
     Ties break toward smaller temporal distance, then smaller index. The
     anchor itself is excluded; the count is capped so at least one frame
     stays available as a negative candidate.
     """
-    return _positives(_rows(f_ts)[anchor], anchor, fraction)
-
-
-def _positives(row: np.ndarray, anchor: int, fraction: float) -> np.ndarray:
     if not 0 < fraction < 1:
         raise ValueError("fraction must lie in (0, 1)")
     n = row.shape[0]
@@ -108,22 +104,14 @@ def _positives(row: np.ndarray, anchor: int, fraction: float) -> np.ndarray:
     return np.sort(others[order[:count]])
 
 
-def negative_set(
-    f_ts: AffinityMatrix | np.ndarray,
-    anchor: int,
-    exclude: np.ndarray | None = None,
-) -> np.ndarray:
-    """Indices whose anchor-row affinity lies in [mean, mean + std].
+def negative_set(row: np.ndarray, anchor: int, exclude: np.ndarray | None = None) -> np.ndarray:
+    """Indices whose affinity in the anchor's row lies in [mean, mean + std].
 
-    Statistics are taken over the anchor row with the diagonal excluded
-    (the self-affinity would inflate both). ``exclude`` removes the
-    positive set so positives and negatives never overlap. If the band
-    is empty the single frame closest to the mean is returned.
+    Statistics are taken over the row with the anchor's own entry
+    excluded (the self-affinity would inflate both). ``exclude`` removes
+    the positive set so positives and negatives never overlap. If the
+    band is empty the single frame closest to the mean is returned.
     """
-    return _negatives(_rows(f_ts)[anchor], anchor, exclude)
-
-
-def _negatives(row: np.ndarray, anchor: int, exclude: np.ndarray | None) -> np.ndarray:
     others = np.delete(np.arange(row.shape[0], dtype=np.int64), anchor)
     off_diag = row[others]
     mean = off_diag.mean()
@@ -172,8 +160,8 @@ def select_triplets(
     """
     triplets: list[Triplet] = []
     for row, anchor, child in zip(anchor_rows, anchors.tolist(), children):
-        positives = _positives(row, anchor, fraction)
-        negatives = _negatives(row, anchor, positives)
+        positives = positive_set(row, anchor, fraction)
+        negatives = negative_set(row, anchor, positives)
         for _ in range(per_anchor):
             pos = int(child.choice(positives))
             neg = int(child.choice(negatives))

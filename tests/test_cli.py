@@ -60,7 +60,10 @@ class TestTrainCommand:
             for l in epoch_lines
         )
 
-    @pytest.mark.parametrize("key", ["loss_orientation", "kl_smoothing", "hidden_width"])
+    @pytest.mark.parametrize(
+        "key",
+        ["loss_orientation", "kl_smoothing", "hidden_width", "lr_decay", "weight_decay", "patience"],
+    )
     def test_removed_config_key_exits_one(self, video_files, tmp_path, capsys, key):
         features, _ = video_files
         cfg = tmp_path / "run.cfg"

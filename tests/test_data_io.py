@@ -39,7 +39,7 @@ class TestTextFormat:
     def test_minimal_file(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("2 3\n1 0 0\n0 1 0\n")
-        m = load_features(path, "text")
+        m = load_features(path)
         assert m.n_frames == 2 and m.n_dims == 3
         assert np.array_equal(m.values, [[1, 0, 0], [0, 1, 0]])
 
@@ -53,31 +53,37 @@ class TestTextFormat:
         path = tmp_path / "short.txt"
         path.write_text("2 3\n1 0 0\n")
         with pytest.raises(DataFormatError, match="row count mismatch"):
-            load_features(path, "text")
+            load_features(path)
 
     def test_row_length_mismatch_names_line(self, tmp_path):
         path = tmp_path / "ragged.txt"
         path.write_text("2 3\n1 0 0\n0 1\n")
         with pytest.raises(DataFormatError, match="line 3"):
-            load_features(path, "text")
+            load_features(path)
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2\n1 0\n")
         with pytest.raises(DataFormatError, match="header"):
-            load_features(path, "text")
+            load_features(path)
 
     def test_non_finite_names_position(self, tmp_path):
         path = tmp_path / "inf.txt"
         path.write_text("2 2\n1 inf\n0 1\n")
         with pytest.raises(DataFormatError, match="line 2.*column 2"):
-            load_features(path, "text")
+            load_features(path)
+
+    def test_undecodable_names_file_and_byte(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"2 1\n1\n\xe9\n")
+        with pytest.raises(DataFormatError, match=r"latin1\.txt: byte 6: not valid ascii"):
+            load_features(path)
 
     def test_text_round_trip_exact(self, tmp_path, rng):
         values = rng.standard_normal((7, 4))
         path = tmp_path / "rt.txt"
         save_features(FeatureMatrix(values), path, "text")
-        back = load_features(path, "text")
+        back = load_features(path)
         # repr() serialization round-trips doubles exactly
         assert np.array_equal(back.values, values)
 
@@ -87,7 +93,7 @@ class TestBinaryFormat:
         values = rng.standard_normal((5, 3)).astype(np.float32).astype(np.float64)
         path = tmp_path / "m.bin"
         save_features(FeatureMatrix(values), path, "binary")
-        back = load_features(path, "binary")
+        back = load_features(path)
         assert np.array_equal(back.values, values)
 
     @settings(max_examples=100, deadline=None)
@@ -111,15 +117,15 @@ class TestBinaryFormat:
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
-        path.write_bytes(b"NOPE" + bytes(16))
-        with pytest.raises(DataFormatError, match="magic"):
-            load_features(path, "binary")
+        path.write_bytes(b"TSAF" + (2).to_bytes(4, "little"))
+        with pytest.raises(DataFormatError, match="truncated header"):
+            load_features(path)
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "short.bin"
         path.write_bytes(b"TSAF" + (2).to_bytes(4, "little") + (3).to_bytes(4, "little") + bytes(8))
         with pytest.raises(DataFormatError, match="payload"):
-            load_features(path, "binary")
+            load_features(path)
 
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
@@ -169,6 +175,12 @@ class TestLabels:
         for token, label in zip(tokens, seq.labels):
             assert seq.names[label] == token
 
+    def test_undecodable_names_file_and_byte(self, tmp_path):
+        path = tmp_path / "l.txt"
+        path.write_bytes(b"pour\n\xff\n")
+        with pytest.raises(DataFormatError, match=r"l\.txt: byte 5: not valid utf-8"):
+            load_labels(path)
+
     def test_save_round_trip(self, tmp_path):
         seq = LabelSequence(np.array([0, 0, 1, 2]), ("a", "b", "c"))
         path = tmp_path / "out.txt"
@@ -194,7 +206,6 @@ class TestRunConfig:
         [
             {"L": 0},
             {"h": 0.0},
-            {"lr_decay": 0.0},
             {"min_epochs": 5, "max_epochs": 2},
             {"positive_fraction": 1.0},
             {"init_scheme": "zeros"},
@@ -215,6 +226,12 @@ class TestRunConfig:
         path = tmp_path / "run.cfg"
         path.write_text("# a comment\n\nL = 9\nlearning_rate = 0.5\n")
         assert load_config(path) == {"L": "9", "learning_rate": "0.5"}
+
+    def test_undecodable_config_names_file_and_byte(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"L = 9\n\xff = 1\n")
+        with pytest.raises(DataFormatError, match=r"run\.cfg: byte 6: not valid utf-8"):
+            load_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"

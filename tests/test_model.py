@@ -5,6 +5,9 @@ import pytest
 
 from tsaseg.data_io import FeatureMatrix, RunConfig
 from tsaseg.model import (
+    LR_DECAY,
+    PATIENCE,
+    WEIGHT_DECAY,
     DivergenceError,
     TsaModel,
     backward,
@@ -55,7 +58,7 @@ def generic_instance(seed, n_frames=20, n_dims=8, n_triplets=8, **config_kw):
         while len(triplets) < n_triplets:
             i, p, q = (int(v) for v in rng.choice(n_frames, size=3, replace=False))
             triplets.append(Triplet(i, p, q))
-        pre_act = X @ model.W1.T + model.b1
+        pre_act = X @ model.weights[0].T + model.biases[0]
         fts = combined_distribution(model, X, config)
         gaps = []
         for t in triplets:
@@ -253,9 +256,29 @@ class TestBackward:
         for g in grads.values():
             assert np.all(g == 0.0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda model, X, triplets, config: backward(model, X, triplets, config),
+            lambda model, X, triplets, config: training_loss(model, X, triplets, config),
+            lambda model, X, triplets, config: combined_distribution(model, X, config),
+        ],
+        ids=["backward", "training_loss", "combined_distribution"],
+    )
+    def test_frame_count_mismatch_rejected(self, call):
+        model, X, triplets, config = generic_instance(3)
+        with pytest.raises(ValueError, match="22 frames, the model 20"):
+            call(model, np.vstack([X, X[:2]]), triplets, config)
+
+    @pytest.mark.parametrize("call", [backward, training_loss], ids=["backward", "training_loss"])
+    def test_triplet_frame_past_video_rejected(self, call):
+        model, X, triplets, config = generic_instance(3)
+        with pytest.raises(ValueError, match="frame 20 is out of range for 20 frames"):
+            call(model, X, triplets + [Triplet(0, 1, 20)], config)
+
     def test_non_finite_parameters_raise(self):
         model, X, triplets, config = generic_instance(8)
-        model.W1[0, 0] = np.inf
+        model.weights[0][0, 0] = np.inf
         with np.errstate(all="ignore"), pytest.raises(DivergenceError):
             backward(model, X, triplets, config)
 
@@ -288,7 +311,7 @@ class TestTrain:
         _, z, state = train(X, cfg)
         assert all(v == 0.0 for v in state.loss_history)
         # two consecutive sub-epsilon deltas satisfy the patience rule
-        assert state.epoch == cfg.min_epochs + cfg.patience - 1
+        assert state.epoch == cfg.min_epochs + PATIENCE - 1
         # weight decay drifts the identity map slightly; structure preserved
         assert np.allclose(z.values, X.values, atol=0.05)
 
@@ -306,20 +329,18 @@ class TestTrain:
         cfg = RunConfig(batch_size=16, seed=5, max_epochs=4, min_epochs=4)
         train(feats, cfg, on_epoch=lambda e, loss, lr: seen.append((e, lr)))
         for e, lr in seen:
-            assert lr == pytest.approx(cfg.learning_rate * cfg.lr_decay ** (e - 1), rel=1e-12)
+            assert lr == pytest.approx(cfg.learning_rate * LR_DECAY ** (e - 1), rel=1e-12)
 
     def test_weight_decay_shrinks_parameters_exactly(self):
         # constant video: loss 0, gradients 0, so each step is a pure shrink
         X = FeatureMatrix(np.tile([0.5, 1.0, 2.0], (30, 1)))
         cfg = RunConfig(batch_size=30, L=4, seed=0, min_epochs=1, max_epochs=1)
         model, _, state = train(X, cfg)
-        factor = 1.0 - cfg.learning_rate * 2.0 * cfg.weight_decay
+        factor = 1.0 - cfg.learning_rate * 2.0 * WEIGHT_DECAY
         reference = init_model(3, 30, np.random.default_rng(cfg.seed), scheme="identity", X=X.values)
         assert state.epoch == 1
-        assert np.array_equal(model.W1, reference.W1 * factor)
-        assert np.array_equal(model.b1, reference.b1 * factor)
-        assert np.array_equal(model.W2, reference.W2 * factor)
-        assert np.array_equal(model.b2, reference.b2 * factor)
+        for got, want in zip(model.weights + model.biases, reference.weights + reference.biases):
+            assert np.array_equal(got, want * factor)
 
     def test_batch_size_larger_than_video_rejected(self):
         feats, _ = self._video()
@@ -335,7 +356,7 @@ class TestTrain:
         model, z, state = train(FeatureMatrix(X), cfg)
         assert state.diverged
         assert state.epoch == 0
-        model.check_finite()
+        assert all(np.all(np.isfinite(param)) for _, param in model.param_items())
 
     def test_training_progress_monte_carlo(self):
         # Monte-Carlo oracle over 10 seeds on a noisy 4-class video:

@@ -220,11 +220,11 @@ class TestVectorisedSelection:
         rng = np.random.default_rng(seed)
         rows = tied_rows(rng, n, levels)
         for anchor in rng.choice(n, size=min(n, 6), replace=False).tolist():
-            pos = positive_set(rows, anchor, fraction)
+            pos = positive_set(rows[anchor], anchor, fraction)
             want_pos = reference_positive_set(rows, anchor, fraction)
             assert pos.dtype == want_pos.dtype and np.array_equal(pos, want_pos)
             for exclude in (None, want_pos):
-                neg = negative_set(rows, anchor, exclude=exclude)
+                neg = negative_set(rows[anchor], anchor, exclude=exclude)
                 want_neg = reference_negative_set(rows, anchor, exclude)
                 assert neg.dtype == want_neg.dtype and np.array_equal(neg, want_neg)
 
@@ -234,9 +234,9 @@ class TestVectorisedSelection:
         for n in (8, 17, 40, 64):
             rows = fallback_rows(rng, n)
             for anchor in range(n):
-                pos = positive_set(rows, anchor)
+                pos = positive_set(rows[anchor], anchor)
                 assert np.array_equal(pos, reference_positive_set(rows, anchor))
-                neg = negative_set(rows, anchor, exclude=pos)
+                neg = negative_set(rows[anchor], anchor, exclude=pos)
                 want = reference_negative_set(rows, anchor, pos)
                 assert np.array_equal(neg, want)
                 seen_fallback += want.size == 1

@@ -86,11 +86,11 @@ class TestStochasticPool:
 class TestPositiveSet:
     def test_ceiling_count(self, rng):
         fts = make_fts(rng, n=100)
-        assert len(positive_set(fts, 10, 0.05)) == 5
+        assert len(positive_set(fts.rows[10], 10, 0.05)) == 5
 
     def test_uniform_row_tie_break_temporal(self):
         rows = np.full((100, 100), 0.01)
-        pos = positive_set(rows, 50, 0.05)
+        pos = positive_set(rows[50], 50, 0.05)
         assert sorted(abs(int(j) - 50) for j in pos) == [1, 1, 2, 2, 3]
 
     def test_dominant_entry_included(self, rng):
@@ -100,28 +100,28 @@ class TestPositiveSet:
         rows[5, 20] = 1.0
         rows[5, 5] = 0.5
         rows[5] /= rows[5].sum()
-        assert 20 in positive_set(rows, 5)
+        assert 20 in positive_set(rows[5], 5)
 
     def test_anchor_excluded(self, rng):
         fts = make_fts(rng, n=30)
         for anchor in (0, 15, 29):
-            assert anchor not in positive_set(fts, anchor)
+            assert anchor not in positive_set(fts.rows[anchor], anchor)
 
     def test_bad_fraction(self, rng):
         fts = make_fts(rng, n=10)
         with pytest.raises(ValueError):
-            positive_set(fts, 0, fraction=1.0)
+            positive_set(fts.rows[0], 0, fraction=1.0)
 
 
 class TestNegativeSet:
     def test_hand_computed_band(self):
         # off-diagonal entries [0.2, 0.1]: mean 0.15, std 0.05, band [0.15, 0.2]
         rows = np.array([[0.7, 0.2, 0.1], [0.2, 0.7, 0.1], [0.1, 0.2, 0.7]])
-        assert negative_set(rows, 0).tolist() == [1]
+        assert negative_set(rows[0], 0).tolist() == [1]
 
     def test_constant_row_takes_everything(self):
         rows = np.full((5, 5), 0.2)
-        assert negative_set(rows, 2).tolist() == [0, 1, 3, 4]
+        assert negative_set(rows[2], 2).tolist() == [0, 1, 3, 4]
 
     def test_empty_band_falls_back_to_nearest_mean(self):
         # strictly bimodal off-diagonal row with the band straddling the gap
@@ -130,7 +130,7 @@ class TestNegativeSet:
         off = np.delete(rows[0], 0)
         mean, std = off.mean(), off.std()
         assert not np.any((off >= mean) & (off <= mean + std))  # fixture premise
-        got = negative_set(rows, 0)
+        got = negative_set(rows[0], 0)
         assert len(got) == 1
         expect = min(range(1, 8), key=lambda j: (abs(rows[0, j] - mean), abs(j - 0), j))
         assert got[0] == expect
@@ -138,8 +138,8 @@ class TestNegativeSet:
     def test_exclusion_keeps_sets_disjoint(self, rng):
         fts = make_fts(rng, n=60)
         for anchor in range(0, 60, 7):
-            pos = positive_set(fts, anchor)
-            neg = negative_set(fts, anchor, exclude=pos)
+            pos = positive_set(fts.rows[anchor], anchor)
+            neg = negative_set(fts.rows[anchor], anchor, exclude=pos)
             assert len(neg) >= 1
             assert not set(pos.tolist()) & set(neg.tolist())
             assert anchor not in neg
@@ -159,8 +159,8 @@ class TestSampleTriplets:
         fts = make_fts(rng, n=50)
         pool = stochastic_pool(fts, 10, rng)
         for t in sample_triplets(fts, pool, rng, per_anchor=4):
-            pos = positive_set(fts, t.anchor)
-            neg = negative_set(fts, t.anchor, exclude=pos)
+            pos = positive_set(fts.rows[t.anchor], t.anchor)
+            neg = negative_set(fts.rows[t.anchor], t.anchor, exclude=pos)
             assert t.positive in pos
             assert t.negative in neg
             assert len({t.anchor, t.positive, t.negative}) == 3
@@ -175,3 +175,8 @@ class TestSampleTriplets:
     def test_triplet_distinctness_enforced(self):
         with pytest.raises(ValueError, match="distinct"):
             Triplet(1, 1, 2)
+
+    def test_negative_index_rejected(self):
+        # a negative index would wrap around to a frame from the end
+        with pytest.raises(ValueError, match="non-negative"):
+            Triplet(0, 9, -1)
