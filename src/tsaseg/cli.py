@@ -213,9 +213,7 @@ def cmd_eval(args) -> int:
         )
     pred_labels = pred.labels
     gt_eval = gt
-    if args.tau > 0.0:
-        if gt.background_id is None:
-            raise DataFormatError("--tau needs --background to name the background token")
+    if args.tau != 0.0:
         pred_labels, gt_eval, _ = remove_background(
             pred.labels, gt, args.tau, np.random.default_rng(seed)
         )

@@ -12,6 +12,7 @@ Binary storage is float32; everything in memory is float64.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -80,8 +81,9 @@ class RunConfig:
     ``L`` is the expected action count (temporal window parameter), ``h``
     the semantic kernel bandwidth, and ``batch_size`` doubles as the
     downsampling window length. ``epsilon_stop`` is the loss-delta
-    threshold of early stopping; the rest of the schedule is the same for
-    every dataset (``model.LR_DECAY``, ``WEIGHT_DECAY`` and ``PATIENCE``).
+    threshold of early stopping and ``max_epochs`` its cap; the rest of
+    the schedule is the same for every dataset (``model.LR_DECAY``,
+    ``WEIGHT_DECAY`` and ``PATIENCE``).
     """
 
     L: int = 6
@@ -89,7 +91,6 @@ class RunConfig:
     batch_size: int = 32
     learning_rate: float = 0.1
     epsilon_stop: float = 1e-3
-    min_epochs: int = 2
     max_epochs: int = 50
     seed: int = 0
     positive_fraction: float = 0.05
@@ -99,24 +100,18 @@ class RunConfig:
     loss_features: str = "pdf"
     per_anchor: int = 1
     pool_mode: str = "self_affinity"
-    hidden_layers: int = 1
-    init_scheme: str = "identity"
 
     def __post_init__(self):
         if self.L < 1:
             raise ValueError("L must be a positive integer")
-        if self.h <= 0:
-            raise ValueError("h must be positive")
+        for name in ("h", "learning_rate", "epsilon_stop"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.epsilon_stop <= 0:
-            raise ValueError("epsilon_stop must be positive")
-        if self.min_epochs < 1 or self.max_epochs < 1:
-            raise ValueError("epoch bounds must be positive")
-        if self.min_epochs > self.max_epochs:
-            raise ValueError("min_epochs must not exceed max_epochs")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be positive")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
         if not 0 < self.positive_fraction < 1:
@@ -131,10 +126,6 @@ class RunConfig:
             raise ValueError("per_anchor must be a positive integer")
         if self.pool_mode not in ("self_affinity", "uniform"):
             raise ValueError("pool_mode must be 'self_affinity' or 'uniform'")
-        if self.hidden_layers not in (1, 2):
-            raise ValueError("hidden_layers must be 1 or 2")
-        if self.init_scheme not in ("identity", "random"):
-            raise ValueError("init_scheme must be 'identity' or 'random'")
 
 
 #: Published per-dataset hyperparameter presets. The INRIA protocol also
@@ -188,7 +179,12 @@ def load_features(path: str | Path) -> FeatureMatrix:
         raise FileNotFoundError(f"feature file not found: {path}")
     with path.open("rb") as fh:
         binary = fh.read(len(MAGIC)) == MAGIC
-    return _load_binary(path) if binary else _load_text(path)
+    values = _load_binary(path) if binary else _load_text(path)
+    if values.shape[0] < 2 or values.shape[1] < 1:
+        raise DataFormatError(
+            f"{path}: needs at least 2 frames of at least 1 dimension, got shape {values.shape}"
+        )
+    return FeatureMatrix(values)
 
 
 def _read_text(path: Path, encoding: str) -> str:
@@ -198,7 +194,7 @@ def _read_text(path: Path, encoding: str) -> str:
         raise DataFormatError(f"{path}: byte {exc.start}: not valid {encoding}") from exc
 
 
-def _load_text(path: Path) -> FeatureMatrix:
+def _load_text(path: Path) -> np.ndarray:
     raw = _read_text(path, "ascii").split("\n")
     if raw and raw[-1] == "":
         raw = raw[:-1]
@@ -232,10 +228,10 @@ def _load_text(path: Path) -> FeatureMatrix:
         if not np.all(np.isfinite(values[i])):
             j = int(np.argwhere(~np.isfinite(values[i]))[0][0])
             raise DataFormatError(f"{path}: line {i + 2}: non-finite value at column {j + 1}")
-    return FeatureMatrix(values)
+    return values
 
 
-def _load_binary(path: Path) -> FeatureMatrix:
+def _load_binary(path: Path) -> np.ndarray:
     blob = path.read_bytes()
     if len(blob) < 12:
         raise DataFormatError(f"{path}: truncated header")
@@ -250,7 +246,7 @@ def _load_binary(path: Path) -> FeatureMatrix:
     if not np.all(np.isfinite(values)):
         offset = int(np.argwhere(~np.isfinite(values.ravel()))[0][0])
         raise DataFormatError(f"{path}: non-finite value at element {offset}")
-    return FeatureMatrix(values)
+    return values
 
 
 def load_labels(path: str | Path, background: str | None = None) -> LabelSequence:

@@ -159,10 +159,10 @@ def remove_background(
     same way. Note: temporal similarity must be computed from the
     *original* frame indices (pass the kept indices as ``positions``).
     """
-    if gt.background_id is None:
-        raise ValueError("ground truth has no background class set")
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
+    if gt.background_id is None:
+        raise ValueError("ground truth has no background class set")
     rng = rng or np.random.default_rng()
     arr = np.asarray(values)
     if arr.shape[0] != gt.n_frames:

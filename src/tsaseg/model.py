@@ -1,12 +1,12 @@
 """Representation learning: shallow MLP, KL triplet loss, analytic gradients.
 
-The learnable map is a single-hidden-layer MLP with ReLU (optionally two
-hidden layers for the depth ablation), every layer as wide as the input,
-plus a per-frame mixing vector alpha stored in unconstrained form
-(``a_raw``, alpha = logistic(a_raw)). Every row of the distribution the
-loss reads is the mix alpha*f_t + (1 - alpha)*f_s of the temporal and
-semantic rows; ``similarity_mode`` only fixes alpha: learned for
-``combined``, 0 for ``semantic_only`` and 1 for ``temporal_only``.
+The learnable map is a single-hidden-layer MLP with ReLU, both layers as
+wide as the input, plus a per-frame mixing vector alpha stored in
+unconstrained form (``a_raw``, alpha = logistic(a_raw)). Every row of
+the distribution the loss reads is the mix alpha*f_t + (1 - alpha)*f_s
+of the temporal and semantic rows; ``similarity_mode`` only fixes alpha:
+learned for ``combined``, 0 for ``semantic_only`` and 1 for
+``temporal_only``.
 
 Each training epoch selects its triplets from the combined distribution
 at the *current* learned features (selection is detached from
@@ -102,11 +102,10 @@ def init_model(
     n_dims: int,
     n_frames: int,
     rng: np.random.Generator,
-    hidden_layers: int = 1,
     scheme: str = "random",
     X: np.ndarray | None = None,
 ) -> TsaModel:
-    """Build a fresh model of n_dims x n_dims layers; alpha starts at 0.5 (a_raw = 0).
+    """Build a fresh one-hidden-layer model of n_dims x n_dims layers; alpha starts at 0.5.
 
     ``scheme='random'``: uniform(-1/sqrt(n_dims), 1/sqrt(n_dims)) weights,
     zero biases. ``scheme='identity'``: identity weights with a bias
@@ -114,24 +113,18 @@ def init_model(
     the initial map is exactly z = x and training only moves frames the
     loss objects to. Identity needs ``X`` to size the shift.
     """
-    n_layers = hidden_layers + 1
     if scheme == "random":
         bound = 1.0 / math.sqrt(n_dims)
-        weights = [rng.uniform(-bound, bound, size=(n_dims, n_dims)) for _ in range(n_layers)]
-        biases = [np.zeros(n_dims) for _ in range(n_layers)]
-        return TsaModel(weights, biases, np.zeros(n_frames))
+        weights = [rng.uniform(-bound, bound, size=(n_dims, n_dims)) for _ in range(2)]
+        return TsaModel(weights, [np.zeros(n_dims), np.zeros(n_dims)], np.zeros(n_frames))
     if scheme != "identity":
         raise ValueError(f"unknown init scheme {scheme!r}")
     if X is None:
         raise ValueError("identity init needs the feature matrix to size its bias shift")
     shift = 1.0 + max(0.0, -float(np.min(X)))
-    weights = [np.eye(n_dims) for _ in range(n_layers)]
     # separate arrays: training shrinks every parameter block in place
-    biases = (
-        [np.full(n_dims, shift)]
-        + [np.zeros(n_dims) for _ in range(hidden_layers - 1)]
-        + [np.full(n_dims, -shift)]
-    )
+    weights = [np.eye(n_dims), np.eye(n_dims)]
+    biases = [np.full(n_dims, shift), np.full(n_dims, -shift)]
     return TsaModel(weights, biases, np.zeros(n_frames))
 
 
@@ -465,9 +458,10 @@ def train(
     Steps use a learning rate decayed by LR_DECAY per epoch, constant
     within an epoch, and decoupled L2 weight decay: every parameter block
     shrinks by 1 - lr*2*WEIGHT_DECAY per step. The recorded epoch loss
-    is the mean of its batch losses. Training stops at max_epochs, or
-    once at least min_epochs ran and the epoch loss moved by less than
-    epsilon_stop for PATIENCE epochs in a row.
+    is the mean of its batch losses. Training starts from the identity
+    map (see :func:`init_model`) and stops at max_epochs, or once the
+    epoch loss moved by less than epsilon_stop for PATIENCE epochs in a
+    row (so no earlier than epoch PATIENCE + 1).
 
     A non-finite loss or gradient (or a learned row collapsing to zero
     norm, where cosine similarity is undefined) aborts the run and
@@ -484,9 +478,7 @@ def train(
             f"batch_size {config.batch_size} exceeds the {n_frames} frames available"
         )
     master = np.random.default_rng(config.seed)
-    model = init_model(
-        n_dims, n_frames, master, config.hidden_layers, scheme=config.init_scheme, X=values
-    )
+    model = init_model(n_dims, n_frames, master, scheme="identity", X=values)
     positions = frame_positions(n_frames, positions)
     state = TrainState()
     snapshot = model.copy()
@@ -529,7 +521,7 @@ def train(
             still_epochs += 1
         else:
             still_epochs = 0
-        if epoch >= config.min_epochs and still_epochs >= PATIENCE:
+        if still_epochs >= PATIENCE:
             break
     final = forward(model, values)
     return model, FeatureMatrix(final), state

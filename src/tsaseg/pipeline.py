@@ -56,10 +56,11 @@ def run_video(
 ) -> tuple[Scores, dict]:
     """Train, segment, and score one video.
 
-    ``tau > 0`` removes that ratio of background frames (which requires
-    ``gt.background_id``) before training; the temporal kernel still
-    sees original frame indices. The batch size is clamped to the frame
-    count so dataset presets apply to short videos.
+    A non-zero ``tau`` removes that ratio of background frames (which
+    must lie in [0, 1] and requires ``gt.background_id``) before
+    training; the temporal kernel still sees original frame indices. The
+    batch size is clamped to the frame count so dataset presets apply to
+    short videos.
     """
     if features.n_frames != gt.n_frames:
         raise ValueError(
@@ -68,7 +69,7 @@ def run_video(
     rng = np.random.default_rng(eval_seed)
     positions = None
     values, gt_eval = features.values, gt
-    if tau > 0.0:
+    if tau != 0.0:
         values, gt_eval, kept = remove_background(features.values, gt, tau, rng)
         positions = kept.astype(np.float64)
     config = replace(config, batch_size=min(config.batch_size, values.shape[0]))

@@ -151,11 +151,10 @@ def combine(
     fs: AffinityMatrix | np.ndarray,
     ft: AffinityMatrix | np.ndarray,
     alpha: np.ndarray,
-    smoothing: float = KL_SMOOTHING,
 ) -> AffinityMatrix:
     """Per-frame convex combination alpha*f_t + (1-alpha)*f_s, smoothed.
 
-    ``smoothing`` is added to every entry (then rows renormalized) so the
+    KL_SMOOTHING is added to every entry (then rows renormalized) so the
     result has full support, which the KL divergence downstream requires.
     """
     fs = fs.rows if isinstance(fs, AffinityMatrix) else np.asarray(fs, dtype=np.float64)
@@ -167,8 +166,6 @@ def combine(
         raise ValueError(f"alpha must have length {fs.shape[0]}, got shape {alpha.shape}")
     if alpha.min() < 0 or alpha.max() > 1:
         raise ValueError("alpha entries must lie in [0, 1]")
-    if smoothing <= 0:
-        raise ValueError("smoothing must be positive")
     mixed = alpha[:, None] * ft + (1.0 - alpha[:, None]) * fs
-    smoothed = mixed + smoothing
+    smoothed = mixed + KL_SMOOTHING
     return AffinityMatrix(smoothed / smoothed.sum(axis=1, keepdims=True), kind="combined")

@@ -62,7 +62,10 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize(
         "key",
-        ["loss_orientation", "kl_smoothing", "hidden_width", "lr_decay", "weight_decay", "patience"],
+        [
+            "loss_orientation", "kl_smoothing", "hidden_width", "lr_decay", "weight_decay",
+            "patience", "min_epochs", "hidden_layers", "init_scheme",
+        ],
     )
     def test_removed_config_key_exits_one(self, video_files, tmp_path, capsys, key):
         features, _ = video_files
@@ -72,6 +75,14 @@ class TestTrainCommand:
                      "--config", str(cfg)])
         assert code == 1
         assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "z.bin").exists()
+
+    def test_non_finite_h_exits_one(self, video_files, tmp_path, capsys):
+        features, _ = video_files
+        code = main(["train", "--features", str(features), "--out-z", str(tmp_path / "z.bin"),
+                     "--h", "nan"])
+        assert code == 1
+        assert "h must be positive and finite, got nan" in capsys.readouterr().err
         assert not (tmp_path / "z.bin").exists()
 
     def test_missing_features_exits_one(self, tmp_path, capsys):
@@ -192,6 +203,16 @@ class TestEvalCommand:
         gt = tmp_path / "gt.txt"
         gt.write_text("a\nb\n")
         assert main(["eval", "--pred", str(gt), "--gt", str(gt), "--tau", "0.5"]) == 1
+        assert "no background class" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tau", ["-0.5", "nan", "1.5"])
+    def test_tau_outside_unit_interval_exits_one(self, tmp_path, capsys, tau):
+        gt = tmp_path / "gt.txt"
+        gt.write_text("bg\nbg\nact\n")
+        code = main(["eval", "--pred", str(gt), "--gt", str(gt),
+                     "--background", "bg", "--tau", tau])
+        assert code == 1
+        assert "tau must lie in [0, 1]" in capsys.readouterr().err
 
     def test_output_file(self, video_files, tmp_path, capsys):
         _, labels = video_files

@@ -79,6 +79,12 @@ class TestTextFormat:
         with pytest.raises(DataFormatError, match=r"latin1\.txt: byte 6: not valid ascii"):
             load_features(path)
 
+    def test_single_frame_names_file(self, tmp_path):
+        path = tmp_path / "one.txt"
+        save_features(np.array([[1.0, 2.0, 3.0]]), path, "text")
+        with pytest.raises(DataFormatError, match=r"one\.txt: needs at least 2 frames"):
+            load_features(path)
+
     def test_text_round_trip_exact(self, tmp_path, rng):
         values = rng.standard_normal((7, 4))
         path = tmp_path / "rt.txt"
@@ -119,6 +125,17 @@ class TestBinaryFormat:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"TSAF" + (2).to_bytes(4, "little"))
         with pytest.raises(DataFormatError, match="truncated header"):
+            load_features(path)
+
+    @pytest.mark.parametrize("n_frames, n_dims", [(1, 3), (0, 3), (2, 0)])
+    def test_too_small_header_names_file(self, tmp_path, n_frames, n_dims):
+        path = tmp_path / "small.bin"
+        header = b"TSAF" + n_frames.to_bytes(4, "little") + n_dims.to_bytes(4, "little")
+        path.write_bytes(header + bytes(4 * n_frames * n_dims))
+        with pytest.raises(
+            DataFormatError,
+            match=rf"small\.bin: needs at least 2 frames .*shape \({n_frames}, {n_dims}\)",
+        ):
             load_features(path)
 
     def test_truncated_payload(self, tmp_path):
@@ -198,7 +215,7 @@ class TestLabels:
 class TestRunConfig:
     def test_defaults_valid(self):
         cfg = RunConfig()
-        assert cfg.min_epochs <= cfg.max_epochs
+        assert cfg.max_epochs >= 1
         assert 0 < cfg.positive_fraction < 1
 
     @pytest.mark.parametrize(
@@ -206,14 +223,22 @@ class TestRunConfig:
         [
             {"L": 0},
             {"h": 0.0},
-            {"min_epochs": 5, "max_epochs": 2},
+            {"max_epochs": 0},
             {"positive_fraction": 1.0},
-            {"init_scheme": "zeros"},
+            {"pool_mode": "zeros"},
         ],
     )
     def test_invalid_rejected(self, kw):
         with pytest.raises(ValueError):
             RunConfig(**kw)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["h", "learning_rate", "epsilon_stop"])
+    def test_non_finite_float_rejected(self, name, value):
+        # unchecked, h=nan reads as divergence at epoch 0 and
+        # epsilon_stop=nan never lets the stop rule fire
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            RunConfig(**{name: value})
 
     def test_config_file_round_trip(self, tmp_path):
         cfg = RunConfig(L=9, learning_rate=0.403, epsilon_stop=0.892, batch_size=12)

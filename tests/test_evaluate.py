@@ -198,6 +198,12 @@ class TestRemoveBackground:
         with pytest.raises(ValueError, match="background"):
             remove_background(np.arange(2), gt, 0.5, rng)
 
+    @pytest.mark.parametrize("tau", [-0.5, float("nan"), 1.5])
+    def test_tau_range_checked_before_background(self, rng, tau):
+        gt = LabelSequence(np.array([0, 1]), ("a", "b"))
+        with pytest.raises(ValueError, match=r"tau must lie in \[0, 1\]"):
+            remove_background(np.arange(2), gt, tau, rng)
+
     def test_parallel_filtering_consistent(self, rng):
         gt = self._gt()
         features = rng.standard_normal((160, 4))

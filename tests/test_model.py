@@ -116,9 +116,8 @@ class TestForward:
 
     def test_identity_init_is_exact(self, rng):
         X = rng.standard_normal((12, 6))
-        for kw in ({}, {"hidden_layers": 2}):
-            model = init_model(6, 12, rng, scheme="identity", X=X, **kw)
-            assert np.allclose(forward(model, X), X, atol=1e-12)
+        model = init_model(6, 12, rng, scheme="identity", X=X)
+        assert np.allclose(forward(model, X), X, atol=1e-12)
 
     def test_random_init_bounds(self, rng):
         model = init_model(9, 5, rng, scheme="random")
@@ -210,7 +209,6 @@ class TestBackward:
         [
             {"similarity_mode": "semantic_only"},
             {"loss_features": "raw"},
-            {"hidden_layers": 2},
         ],
     )
     def test_matches_finite_differences_variants(self, kw):
@@ -300,7 +298,7 @@ class TestTrain:
 
     def test_epoch_bounds_enforced(self):
         feats, _ = self._video()
-        cfg = RunConfig(batch_size=16, min_epochs=2, max_epochs=2, seed=0)
+        cfg = RunConfig(batch_size=16, max_epochs=2, seed=0)
         _, _, state = train(feats, cfg)
         assert state.epoch == 2
         assert len(state.loss_history) == 2
@@ -310,8 +308,8 @@ class TestTrain:
         cfg = RunConfig(batch_size=8, L=4, seed=1)
         _, z, state = train(X, cfg)
         assert all(v == 0.0 for v in state.loss_history)
-        # two consecutive sub-epsilon deltas satisfy the patience rule
-        assert state.epoch == cfg.min_epochs + PATIENCE - 1
+        # the first epoch has no delta; PATIENCE sub-epsilon deltas follow
+        assert state.epoch == PATIENCE + 1
         # weight decay drifts the identity map slightly; structure preserved
         assert np.allclose(z.values, X.values, atol=0.05)
 
@@ -326,15 +324,16 @@ class TestTrain:
     def test_lr_schedule_decays_exponentially(self):
         feats, _ = self._video(seed=2)
         seen = []
-        cfg = RunConfig(batch_size=16, seed=5, max_epochs=4, min_epochs=4)
-        train(feats, cfg, on_epoch=lambda e, loss, lr: seen.append((e, lr)))
+        cfg = RunConfig(batch_size=16, seed=5, max_epochs=4, epsilon_stop=1e-12)
+        _, _, state = train(feats, cfg, on_epoch=lambda e, loss, lr: seen.append((e, lr)))
+        assert state.epoch == 4
         for e, lr in seen:
             assert lr == pytest.approx(cfg.learning_rate * LR_DECAY ** (e - 1), rel=1e-12)
 
     def test_weight_decay_shrinks_parameters_exactly(self):
         # constant video: loss 0, gradients 0, so each step is a pure shrink
         X = FeatureMatrix(np.tile([0.5, 1.0, 2.0], (30, 1)))
-        cfg = RunConfig(batch_size=30, L=4, seed=0, min_epochs=1, max_epochs=1)
+        cfg = RunConfig(batch_size=30, L=4, seed=0, max_epochs=1)
         model, _, state = train(X, cfg)
         factor = 1.0 - cfg.learning_rate * 2.0 * WEIGHT_DECAY
         reference = init_model(3, 30, np.random.default_rng(cfg.seed), scheme="identity", X=X.values)
@@ -348,11 +347,11 @@ class TestTrain:
             train(feats, RunConfig(batch_size=10_000))
 
     def test_zero_feature_row_aborts_with_last_state(self, rng):
-        # a zero input row collapses to a zero learned row under random
-        # init (bias 0), where cosine similarity is undefined
+        # identity init maps a zero input row to a zero learned row,
+        # where cosine similarity is undefined
         X = rng.standard_normal((20, 6))
         X[4] = 0.0
-        cfg = RunConfig(batch_size=5, seed=2, init_scheme="random")
+        cfg = RunConfig(batch_size=5, seed=2)
         model, z, state = train(FeatureMatrix(X), cfg)
         assert state.diverged
         assert state.epoch == 0
@@ -379,9 +378,10 @@ class TestTrain:
             )
             cfg = RunConfig(
                 batch_size=16, seed=seed, learning_rate=0.3, per_anchor=32,
-                min_epochs=6, max_epochs=6,
+                max_epochs=6, epsilon_stop=1e-12,
             )
             _, _, state = train(feats, cfg)
+            assert state.epoch == 6
             firsts.append(state.loss_history[0])
             finals.append(state.loss_history[-1])
             wins += state.loss_history[-1] < state.loss_history[0]
@@ -393,7 +393,7 @@ class TestTrain:
         cfg = RunConfig(batch_size=16, seed=0, max_epochs=4, pool_mode="uniform")
         _, z, state = train(feats, cfg)
         assert not state.diverged
-        assert cfg.min_epochs <= state.epoch <= cfg.max_epochs
+        assert 1 <= state.epoch <= cfg.max_epochs
         assert all(math.isfinite(v) for v in state.loss_history)
         assert z.n_frames == feats.n_frames
 
@@ -413,7 +413,10 @@ class TestTrain:
     def test_triplet_sink_sees_every_epoch(self):
         feats, _ = self._video()
         epochs = []
-        cfg = RunConfig(batch_size=16, seed=0, min_epochs=3, max_epochs=3)
-        train(feats, cfg, triplet_sink=lambda e, trips: epochs.append((e, len(trips))))
+        cfg = RunConfig(batch_size=16, seed=0, max_epochs=3, epsilon_stop=1e-12)
+        _, _, state = train(
+            feats, cfg, triplet_sink=lambda e, trips: epochs.append((e, len(trips)))
+        )
+        assert state.epoch == 3
         assert [e for e, _ in epochs] == [1, 2, 3]
         assert all(count >= 1 for _, count in epochs)

@@ -56,6 +56,14 @@ class TestRunVideo:
         n_bg = int(np.sum(gt.labels == gt.background_id))
         assert info["n_frames"] == gt.n_frames - int(np.floor(0.75 * n_bg))
 
+    @pytest.mark.parametrize("tau", [-0.5, float("nan")])
+    def test_tau_outside_unit_interval_rejected(self, tau):
+        feats, gt = generate(SynthSpec(n_segments=3, frames_per_segment=(10, 12),
+                                       dims=8, n_action_classes=3, seed=8,
+                                       with_background=True))
+        with pytest.raises(ValueError, match=r"tau must lie in \[0, 1\]"):
+            run_video(feats, gt, RunConfig(batch_size=12, max_epochs=1), tau=tau)
+
     def test_length_mismatch_rejected(self):
         feats, gt = generate(SynthSpec(seed=1))
         bad = generate(SynthSpec(n_segments=2, frames_per_segment=(3, 4),
@@ -91,7 +99,7 @@ class TestRunDataset:
         trained = []
         monkeypatch.setattr(pipeline, "run_video", lambda *a, **k: trained.append(a))
         with pytest.raises(ValueError) as err:
-            run_dataset(features_dir, labels_dir, RunConfig(batch_size=16, min_epochs=1, max_epochs=1))
+            run_dataset(features_dir, labels_dir, RunConfig(batch_size=16, max_epochs=1))
         message = str(err.value)
         assert "'video_0' has 2 feature files (video_0.bin, video_0.txt)" in message
         assert "'video_2' has 2 feature files" in message

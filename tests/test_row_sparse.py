@@ -51,7 +51,7 @@ MODES = ("combined", "semantic_only", "temporal_only")
 def random_instance(rng, n, d, positions_gapped, **config_kw):
     config = RunConfig(L=int(rng.integers(2, 10)), batch_size=4, **config_kw)
     X = rng.standard_normal((n, d))
-    model = init_model(d, n, rng, config.hidden_layers, scheme="random")
+    model = init_model(d, n, rng, scheme="random")
     for b in model.biases:
         b += rng.normal(0.0, 0.1, size=b.shape)
     model.a_raw[:] = rng.standard_normal(n)
@@ -75,7 +75,6 @@ class TestGradientOracle:
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(4, 48),
         d=st.integers(1, 9),
-        hidden_layers=st.sampled_from((1, 2)),
         similarity_mode=st.sampled_from(MODES),
         loss_features=st.sampled_from(("pdf", "raw")),
         per_anchor=st.integers(1, 4),
@@ -83,14 +82,13 @@ class TestGradientOracle:
         positions_gapped=st.booleans(),
     )
     def test_matches_dense_engine(
-        self, seed, n, d, hidden_layers, similarity_mode, loss_features,
+        self, seed, n, d, similarity_mode, loss_features,
         per_anchor, n_anchors, positions_gapped,
     ):
         rng = np.random.default_rng(seed)
         model, X, config, positions = random_instance(
             rng, n, d, positions_gapped,
-            hidden_layers=hidden_layers, similarity_mode=similarity_mode,
-            loss_features=loss_features, per_anchor=per_anchor,
+            similarity_mode=similarity_mode, loss_features=loss_features, per_anchor=per_anchor,
         )
         # Anchors repeat across triplets (per_anchor > 1, and anchors drawn
         # with replacement), and frames recur as positive and negative.
@@ -262,7 +260,7 @@ class TestMemoryScaling:
                       n_action_classes=6, noise_sigma=0.35, seed=0)
         )
         x = np.ascontiguousarray(feats.values[:n])
-        config = replace(DATASET_PRESETS["breakfast"], min_epochs=1, max_epochs=1)
+        config = replace(DATASET_PRESETS["breakfast"], max_epochs=1)
         tracemalloc.start()
         try:
             train(x, config)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsaseg.similarity import (
+    KL_SMOOTHING,
     AffinityMatrix,
     TemporalKernel,
     ZeroNormRowError,
@@ -160,29 +161,33 @@ class TestCombine:
 
     def test_alpha_zero_gives_smoothed_semantic(self, pair):
         fs, ft = pair
-        combined = combine(fs, ft, np.zeros(10), smoothing=1e-8)
-        expected = (fs.rows + 1e-8) / (fs.rows + 1e-8).sum(axis=1, keepdims=True)
+        combined = combine(fs, ft, np.zeros(10))
+        expected = (fs.rows + KL_SMOOTHING) / (fs.rows + KL_SMOOTHING).sum(axis=1, keepdims=True)
         assert np.allclose(combined.rows, expected, atol=1e-15)
 
     def test_alpha_one_gives_smoothed_temporal(self, pair):
         fs, ft = pair
-        combined = combine(fs, ft, np.ones(10), smoothing=1e-8)
-        expected = (ft.rows + 1e-8) / (ft.rows + 1e-8).sum(axis=1, keepdims=True)
+        combined = combine(fs, ft, np.ones(10))
+        expected = (ft.rows + KL_SMOOTHING) / (ft.rows + KL_SMOOTHING).sum(axis=1, keepdims=True)
         assert np.allclose(combined.rows, expected, atol=1e-15)
 
     def test_equal_rows_fixed_point(self):
         rows = np.full((4, 4), 0.25)
         fs = AffinityMatrix(rows, kind="semantic")
         ft = AffinityMatrix(rows.copy(), kind="temporal")
-        combined = combine(fs, ft, np.full(4, 0.5), smoothing=1e-8)
+        combined = combine(fs, ft, np.full(4, 0.5))
         assert np.allclose(combined.rows, rows, atol=1e-9)
 
     def test_convex_combination_bounds(self, pair, rng):
         fs, ft = pair
         alpha = rng.uniform(0, 1, size=10)
-        combined = combine(fs, ft, alpha, smoothing=1e-12)
-        lo = np.minimum(fs.rows, ft.rows)
-        hi = np.maximum(fs.rows, ft.rows)
+        combined = combine(fs, ft, alpha)
+        # smoothing is affine and both rows sum to 1, so the combined row
+        # is the same convex combination of the smoothed rows
+        smooth_fs = (fs.rows + KL_SMOOTHING) / (1.0 + 10 * KL_SMOOTHING)
+        smooth_ft = (ft.rows + KL_SMOOTHING) / (1.0 + 10 * KL_SMOOTHING)
+        lo = np.minimum(smooth_fs, smooth_ft)
+        hi = np.maximum(smooth_fs, smooth_ft)
         assert np.all(combined.rows >= lo - 1e-9)
         assert np.all(combined.rows <= hi + 1e-9)
 
