@@ -87,6 +87,7 @@ def _cluster_means(x: np.ndarray, labels: np.ndarray, fallback: np.ndarray) -> n
 def _lloyd(x: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
     k = centers.shape[0]
     prev_wcss = np.inf
+    seen = set()
     for _ in range(KMEANS_MAX_ITER):
         d2 = cdist(x, centers, "sqeuclidean")
         labels = np.argmin(d2, axis=1)
@@ -101,8 +102,12 @@ def _lloyd(x: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
         if not wcss <= prev_wcss + 1e-9 * (1.0 + abs(prev_wcss)):
             raise AssertionError(f"k-means objective increased: {prev_wcss} -> {wcss}")
         new_centers = _cluster_means(x, labels, centers)
-        if np.array_equal(new_centers, centers):
+        # The last assignment repeated gives the same means. An earlier one
+        # repeated is a cycle: a cluster emptied and refilled by turns.
+        key = labels.tobytes()
+        if np.array_equal(new_centers, centers) or key in seen:
             return labels, wcss
+        seen.add(key)
         centers = new_centers
         prev_wcss = wcss
     d2 = cdist(x, centers, "sqeuclidean")

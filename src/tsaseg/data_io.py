@@ -290,8 +290,9 @@ def save_labels(labels, path: str | Path) -> None:
 def load_config(path: str | Path) -> dict[str, str]:
     """Parse a line-oriented ``key = value`` configuration file.
 
-    Keys must be RunConfig field names. Blank lines and ``#`` comments
-    are ignored. Values are returned raw; ``make_config`` coerces them.
+    Keys must be RunConfig field names, and numeric values must parse as
+    their field's type. Blank lines and ``#`` comments are ignored.
+    Values are returned raw; ``make_config`` coerces them.
     """
     path = Path(path)
     if not path.is_file():
@@ -308,25 +309,32 @@ def load_config(path: str | Path) -> dict[str, str]:
         key, value = key.strip(), value.strip()
         if key not in known:
             raise DataFormatError(f"{path}: line {i + 1}: unknown config key {key!r}")
+        try:
+            _coerce(key, value)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: line {i + 1}: {exc}") from None
         out[key] = value
     return out
 
 
+def _coerce(key: str, value):
+    """``value`` as the type of RunConfig field ``key``: int and float strings are parsed."""
+    kinds = {f.name: str(f.type) for f in fields(RunConfig)}
+    if key not in kinds:
+        raise ValueError(f"unknown config key {key!r}")
+    kind = kinds[key]
+    if not isinstance(value, str) or kind not in ("int", "float"):
+        return value
+    try:
+        return int(value) if kind == "int" else float(value)
+    except ValueError:
+        article = "an" if kind == "int" else "a"
+        raise ValueError(f"config key {key!r}: {value!r} is not {article} {kind}") from None
+
+
 def make_config(**overrides) -> RunConfig:
     """Build a RunConfig from the defaults plus string or typed overrides."""
-    coerced = {}
-    types = {f.name: str(f.type) for f in fields(RunConfig)}
-    for key, value in overrides.items():
-        if key not in types:
-            raise ValueError(f"unknown config key {key!r}")
-        if isinstance(value, str):
-            kind = types[key]
-            if kind == "int":
-                value = int(value)
-            elif kind == "float":
-                value = float(value)
-        coerced[key] = value
-    return RunConfig(**coerced)
+    return RunConfig(**{key: _coerce(key, value) for key, value in overrides.items()})
 
 
 def config_lines(config: RunConfig) -> list[str]:

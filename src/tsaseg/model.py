@@ -21,12 +21,15 @@ in the test suite.
 Training keeps no N x N state. The per-frame part of the chain (MLP
 activations, learned rows and their unit vectors) is N x d; rows of the
 N-wide similarity, kernel and distribution matrices are built only for
-the frames that read them. Pooling reads diag(F), built ROW_BLOCK rows
-at a time; selection reads the pooled anchors' rows; a gradient step
-reads the rows of its triplets' frames, outside which dL/dF and dL/dS
-vanish. :func:`combined_distribution` and :func:`training_loss` build
-the dense matrices from the public operations and serve as the
-reference path in tests.
+the frames that read them. The temporal PDF does not depend on the
+parameters: it is built once per video as a band of O(N L) entries, and
+its rows are gathered from it. Pooling reads diag(F), which needs no row
+of F, only the kernel row sums, built ROW_BLOCK rows at a time;
+selection reads the pooled anchors' rows; a gradient step reads the rows
+of its triplets' frames, outside which dL/dF and dL/dS vanish.
+:func:`combined_distribution` and :func:`training_loss` build the dense
+matrices from the public operations and serve as the reference path in
+tests.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .data_io import FeatureMatrix, RunConfig, as_values
 from .similarity import (
@@ -42,12 +46,13 @@ from .similarity import (
     AffinityMatrix,
     TemporalKernel,
     ZeroNormRowError,
+    band_rows,
     combine,
     cosine_similarity_matrix,
     frame_positions,
     semantic_distribution,
+    temporal_band,
     temporal_distribution,
-    temporal_rows,
 )
 from .triplet import Triplet, pool_anchors, select_triplets
 
@@ -187,13 +192,12 @@ ROW_BLOCK = 128
 """Rows of the N-wide matrices built at once by the epoch head and selection."""
 
 
-def _forward_chain(
-    model: TsaModel, X: np.ndarray, positions: np.ndarray, config: RunConfig
-) -> dict:
+def _forward_chain(model: TsaModel, X: np.ndarray, band: csr_matrix, config: RunConfig) -> dict:
     """Run the per-frame part of the chain, caching what the row functions and backward need.
 
-    Only N x d and length-N arrays are kept; rows of the N-wide matrices
-    come from :func:`_distribution_rows` for the frames that need them.
+    Only N x d and length-N arrays and the temporal ``band`` (see
+    :func:`temporal_band`) are kept; rows of the N-wide matrices come
+    from :func:`_distribution_rows` for the frames that need them.
     """
     pre_acts, layer_inputs, Z = _mlp(model, X)
     norms = np.linalg.norm(Z, axis=1)
@@ -201,7 +205,7 @@ def _forward_chain(
         i = int(np.argwhere(norms == 0)[0][0])
         raise ZeroNormRowError(f"learned row {i} collapsed to zero norm")
     return {
-        "positions": positions,
+        "band": band,
         "pre_acts": pre_acts,
         "layer_inputs": layer_inputs,
         "norms": norms,
@@ -222,7 +226,7 @@ def _distribution_rows(cache: dict, index: np.ndarray, config: RunConfig) -> dic
     K = np.exp((S - 1.0) / config.h)
     sk = K.sum(axis=1)
     FS = K / sk[:, None]
-    ft = temporal_rows(cache["positions"], index, TemporalKernel(config.L))
+    ft = band_rows(cache["band"], index)
     alpha = cache["alpha"][index]
     mixed = alpha[:, None] * ft + (1.0 - alpha[:, None]) * FS
     smoothed = mixed + KL_SMOOTHING
@@ -231,19 +235,23 @@ def _distribution_rows(cache: dict, index: np.ndarray, config: RunConfig) -> dic
     return {"S": S, "K": K, "sk": sk, "FS": FS, "ft": ft, "alpha": alpha, "su": su, "F": F}
 
 
-def _row_blocks(cache: dict, index: np.ndarray, config: RunConfig):
-    """Yield (offset, block, F rows of block) over ``index`` in ROW_BLOCK slices."""
-    for start in range(0, len(index), ROW_BLOCK):
-        block = index[start : start + ROW_BLOCK]
-        yield start, block, _distribution_rows(cache, block, config)["F"]
-
-
 def _diagonal(cache: dict, config: RunConfig) -> np.ndarray:
-    """diag(F), built ROW_BLOCK rows at a time."""
-    n = cache["U"].shape[0]
-    return np.concatenate(
-        [F[np.arange(block.size), block] for _, block, F in _row_blocks(cache, np.arange(n), config)]
-    )
+    """diag(F) without building a row of F.
+
+    F_ii = (alpha_i ft_ii + (1 - alpha_i) K_ii / sk_i + eps) / (1 + N eps),
+    since every smoothed row sums to 1 + N eps. Only the kernel row sums
+    sk need whole rows of K, built ROW_BLOCK rows at a time.
+    """
+    U, alpha = cache["U"], cache["alpha"]
+    n = U.shape[0]
+    sk, k_ii = np.empty(n), np.empty(n)
+    for start in range(0, n, ROW_BLOCK):
+        stop = min(start + ROW_BLOCK, n)
+        K = np.exp((U[start:stop] @ U.T - 1.0) / config.h)
+        sk[start:stop] = K.sum(axis=1)
+        k_ii[start:stop] = K[np.arange(stop - start), np.arange(start, stop)]
+    mixed = alpha * cache["band"].diagonal() + (1.0 - alpha) * (k_ii / sk)
+    return (mixed + KL_SMOOTHING) / (1.0 + n * KL_SMOOTHING)
 
 
 def _select_epoch_triplets(
@@ -253,9 +261,10 @@ def _select_epoch_triplets(
     pool = pool_anchors(_diagonal(cache, config), config.batch_size, rng, config.pool_mode)
     children = rng.spawn(len(pool))
     triplets: list[Triplet] = []
-    for start, anchors, rows in _row_blocks(cache, pool.indices, config):
+    for start in range(0, pool.indices.size, ROW_BLOCK):
+        anchors = pool.indices[start : start + ROW_BLOCK]
         triplets += select_triplets(
-            rows,
+            _distribution_rows(cache, anchors, config)["F"],
             anchors,
             children[start : start + anchors.size],
             config.per_anchor,
@@ -421,8 +430,8 @@ def backward(
     """
     values = as_values(X)
     _check_frames(model, values.shape[0], triplets)
-    positions = frame_positions(values.shape[0], positions)
-    cache = _forward_chain(model, values, positions, config)
+    band = temporal_band(frame_positions(values.shape[0], positions), TemporalKernel(config.L))
+    cache = _forward_chain(model, values, band, config)
     return _loss_and_gradients(model, cache, triplets, config)[1]
 
 
@@ -479,7 +488,7 @@ def train(
         )
     master = np.random.default_rng(config.seed)
     model = init_model(n_dims, n_frames, master, scheme="identity", X=values)
-    positions = frame_positions(n_frames, positions)
+    band = temporal_band(frame_positions(n_frames, positions), TemporalKernel(config.L))
     state = TrainState()
     snapshot = model.copy()
     still_epochs = 0
@@ -487,7 +496,7 @@ def train(
         lr = config.learning_rate * LR_DECAY ** (epoch - 1)
         shrink = 1.0 - lr * 2.0 * WEIGHT_DECAY
         try:
-            cache = _forward_chain(model, values, positions, config)
+            cache = _forward_chain(model, values, band, config)
         except ZeroNormRowError:
             state.diverged = True
             break
@@ -500,7 +509,7 @@ def train(
             for start in range(0, len(triplets), config.per_anchor):
                 batch = triplets[start : start + config.per_anchor]
                 if start > 0:
-                    cache = _forward_chain(model, values, positions, config)
+                    cache = _forward_chain(model, values, band, config)
                 loss, grads = _loss_and_gradients(model, cache, batch, config)
                 for name, param in model.param_items():
                     param *= shrink

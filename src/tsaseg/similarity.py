@@ -3,9 +3,12 @@
 Three row-stochastic N x N matrices are built here: a semantic
 distribution from an exponential kernel over cosine similarity, a
 temporal distribution from a decaying window kernel, and their per-frame
-convex combination. Every row is a PDF over frames. Temporal rows can
-also be built for a subset of frames (:func:`temporal_rows`), which the
-training engine uses so that it never holds the whole matrix.
+convex combination. Every row is a PDF over frames. The temporal kernel
+is non-zero only within L/2 of a frame, so its distribution is built
+once as a banded sparse matrix (:func:`temporal_band`) of O(N L)
+entries; the dense :func:`temporal_distribution` is a view of the same
+band, and the training engine gathers the rows it needs from it
+(:func:`band_rows`).
 """
 
 from __future__ import annotations
@@ -14,12 +17,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .data_io import FeatureMatrix, as_values
 
 ROW_SUM_TOL = 1e-9
 KL_SMOOTHING = 1e-8
 """Mass added to every entry of a combined row before renormalizing, so KL sees full support."""
+BAND_SLACK = 1e-9
+"""Relative widening of the band search, so rounding in p +- L/2 drops no entry the kernel keeps."""
 
 
 class ZeroNormRowError(ValueError):
@@ -105,7 +111,7 @@ def semantic_distribution(m: FeatureMatrix | np.ndarray, h: float) -> AffinityMa
 
 
 def frame_positions(n_frames: int, positions: np.ndarray | None = None) -> np.ndarray:
-    """Validated frame positions for the temporal kernel; 0..N-1 by default."""
+    """Validated, strictly increasing frame positions for the temporal kernel; 0..N-1 by default."""
     if n_frames < 2:
         raise ValueError("need at least 2 frames")
     if positions is None:
@@ -116,24 +122,58 @@ def frame_positions(n_frames: int, positions: np.ndarray | None = None) -> np.nd
     if not np.all(np.isfinite(positions)):
         i = int(np.argwhere(~np.isfinite(positions))[0][0])
         raise ValueError(f"non-finite frame position {positions[i]} at index {i}")
+    steps = np.diff(positions)
+    if not np.all(steps > 0):
+        i = int(np.argmin(steps > 0)) + 1
+        raise ValueError(
+            f"frame positions must increase strictly: {positions[i]} at index {i}"
+            f" follows {positions[i - 1]}"
+        )
     return positions
 
 
-def temporal_rows(positions: np.ndarray, index: np.ndarray, kernel: TemporalKernel) -> np.ndarray:
-    """Rows ``index`` of the temporal distribution over frames at ``positions``.
+def _spans(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The integer ranges [starts[i], starts[i] + counts[i]) laid end to end."""
+    return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
 
-    Each row is the clipped kernel over the distances from frame i to
-    every frame, normalized to a PDF (see :func:`temporal_distribution`).
+
+def temporal_band(positions: np.ndarray, kernel: TemporalKernel) -> csr_matrix:
+    """The temporal distribution over frames at strictly increasing ``positions``, as sparse CSR.
+
+    Row i is the clipped kernel max(0, w(|p_i - p_j|)) normalized to a
+    PDF. It is evaluated only for the frames j within L/2 of frame i,
+    found by binary search; the band is closed, since w(L/2) rounds to
+    2.2e-16 rather than 0 for some L (7 and 14). Entries the clip zeroes
+    are not stored, so the band holds O(N L) entries.
     """
-    dist = np.abs(positions[index, None] - positions[None, :])
-    weights = np.maximum(temporal_weight(dist, kernel), 0.0)
-    return weights / weights.sum(axis=1, keepdims=True)
+    n = positions.size
+    reach = kernel.L / 2.0 * (1.0 + BAND_SLACK)
+    lo = np.searchsorted(positions, positions - reach, side="left")
+    widths = np.searchsorted(positions, positions + reach, side="right") - lo
+    rows = np.repeat(np.arange(n), widths)
+    cols = _spans(lo, widths)
+    weights = np.maximum(temporal_weight(np.abs(positions[rows] - positions[cols]), kernel), 0.0)
+    keep = weights > 0
+    rows, cols, weights = rows[keep], cols[keep], weights[keep]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    sums = np.bincount(rows, weights, minlength=n)
+    return csr_matrix((weights / sums[rows], cols, indptr), shape=(n, n))
+
+
+def band_rows(band: csr_matrix, index: np.ndarray) -> np.ndarray:
+    """Rows ``index`` of a CSR matrix as a dense len(index) x N array, gathered with numpy."""
+    starts = band.indptr[index]
+    counts = band.indptr[index + 1] - starts
+    entries = _spans(starts, counts)
+    out = np.zeros((index.size, band.shape[1]))
+    out[np.repeat(np.arange(index.size), counts), band.indices[entries]] = band.data[entries]
+    return out
 
 
 def temporal_distribution(
     n_frames: int, kernel: TemporalKernel, positions: np.ndarray | None = None
 ) -> AffinityMatrix:
-    """Row-normalized clipped temporal kernel over frame distance.
+    """Row-normalized clipped temporal kernel over frame distance: the dense :func:`temporal_band`.
 
     Negative weights (distances beyond L/2) are clipped to zero before
     normalization so that each row remains a PDF; the diagonal weight
@@ -144,7 +184,7 @@ def temporal_distribution(
     (distances are then measured in original frame units).
     """
     positions = frame_positions(n_frames, positions)
-    return AffinityMatrix(temporal_rows(positions, np.arange(n_frames), kernel), kind="temporal")
+    return AffinityMatrix(temporal_band(positions, kernel).toarray(), kind="temporal")
 
 
 def combine(

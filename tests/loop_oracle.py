@@ -6,9 +6,10 @@ its k-means distances from ``scipy.spatial.distance.cdist``, and
 ``tsaseg.evaluate`` reads its metrics off the contingency table. These
 are the per-frame loop, union-find, N x k x d difference-tensor and
 per-class mask versions they replaced, copied unchanged apart from the
-scorers' input conversion and length check and ``kmeans``' input
-conversion, range check and return type, so tests can require
-identical results.
+scorers' input conversion and length check, ``kmeans``' input
+conversion, range check and return type, and ``_lloyd``'s stop on a
+repeated assignment (the same rule as the library's), so tests can
+require identical results.
 """
 
 from __future__ import annotations
@@ -143,6 +144,7 @@ def _lloyd(x: np.ndarray, centers: np.ndarray, max_iter: int) -> tuple[np.ndarra
     k = centers.shape[0]
     prev_wcss = np.inf
     labels = np.zeros(x.shape[0], dtype=np.int64)
+    seen = set()
     for _ in range(max_iter):
         d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = np.argmin(d2, axis=1)
@@ -161,8 +163,10 @@ def _lloyd(x: np.ndarray, centers: np.ndarray, max_iter: int) -> tuple[np.ndarra
             members = x[labels == c]
             if members.size:
                 new_centers[c] = members.mean(axis=0)
-        if np.array_equal(new_centers, centers):
+        key = labels.tobytes()
+        if np.array_equal(new_centers, centers) or key in seen:
             return labels, wcss
+        seen.add(key)
         centers = new_centers
         prev_wcss = wcss
     d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)

@@ -77,6 +77,38 @@ class TestTrainCommand:
         assert f"unknown config key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "z.bin").exists()
 
+    def test_malformed_config_file_value_names_key_file_and_line(
+        self, video_files, tmp_path, capsys
+    ):
+        features, _ = video_files
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("L = 4\nmax_epochs = 2.5\n")
+        code = main(["train", "--features", str(features), "--out-z", str(tmp_path / "z.bin"),
+                     "--config", str(cfg)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}: line 2: config key 'max_epochs': '2.5' is not an int" in err
+        assert not (tmp_path / "z.bin").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--batch-size", "abc", "config key 'batch_size': 'abc' is not an int"),
+            ("--L", "1e3", "config key 'L': '1e3' is not an int"),
+            ("--h", "wide", "config key 'h': 'wide' is not a float"),
+        ],
+        ids=["batch_size", "L", "h"],
+    )
+    def test_malformed_flag_value_names_key(
+        self, video_files, tmp_path, capsys, flag, value, message
+    ):
+        features, _ = video_files
+        code = main(["train", "--features", str(features), "--out-z", str(tmp_path / "z.bin"),
+                     flag, value])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "z.bin").exists()
+
     def test_non_finite_h_exits_one(self, video_files, tmp_path, capsys):
         features, _ = video_files
         code = main(["train", "--features", str(features), "--out-z", str(tmp_path / "z.bin"),

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 import loop_oracle
 from tsaseg import cluster
@@ -151,6 +152,26 @@ class TestKmeansMatchesOracle:
                 first = np.argmin(((x[:, None, :] - centers[None]) ** 2).sum(axis=2), axis=1)
                 empties += len(centers) - np.unique(first).size
         assert empties > 0
+
+    def test_refill_cycle_stops_within_a_few_iterations(self):
+        # 30 rows from 4 points, k = 6: a refilled cluster's mean coincides
+        # with another center, so argmin's tie-break empties it again and
+        # the assignments alternate; without the repeat check every restart
+        # ran all KMEANS_MAX_ITER iterations
+        x = points_with_duplicates(np.random.default_rng(0), 30, 3, 4)
+        calls = []
+
+        def counting_cdist(*args, **kwargs):
+            calls.append(1)
+            return cdist(*args, **kwargs)
+
+        for child in np.random.default_rng(0).spawn(KMEANS_RESTARTS):
+            centers = cluster._kmeans_pp_centers(x, 6, child)
+            calls.clear()
+            with mock.patch.object(cluster, "cdist", counting_cdist):
+                labels, _ = cluster._lloyd(x, centers)
+            assert len(calls) <= 10  # one distance matrix per iteration
+            assert np.unique(labels).size == 6
 
     def test_peak_below_two_feature_matrices(self):
         n, d, k = 4000, 64, 6

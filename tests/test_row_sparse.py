@@ -12,6 +12,7 @@ import tracemalloc
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +34,7 @@ from tsaseg.similarity import (
     TemporalKernel,
     ZeroNormRowError,
     frame_positions,
+    temporal_band,
     temporal_distribution,
 )
 from tsaseg.synth import SynthSpec, generate
@@ -59,6 +61,11 @@ def random_instance(rng, n, d, positions_gapped, **config_kw):
     if positions_gapped:
         positions = np.sort(rng.choice(3 * n, size=n, replace=False)).astype(np.float64)
     return model, X, config, positions
+
+
+def band(n, positions, config):
+    """The temporal band the training engine builds once per video."""
+    return temporal_band(frame_positions(n, positions), TemporalKernel(config.L))
 
 
 def hinge_gaps(F, triplets, raw):
@@ -110,7 +117,7 @@ class TestGradientOracle:
         assume(triplets)
 
         want_loss, want = dense_oracle._loss_and_gradients(model, dense_cache, triplets, config)
-        cache = _forward_chain(model, X, frame_positions(n, positions), config)
+        cache = _forward_chain(model, X, band(n, positions, config), config)
         loss, got = _loss_and_gradients(model, cache, triplets, config)
 
         # The loss is a mean of differences of KL divergences between rows
@@ -137,18 +144,36 @@ class TestEpochHead:
                     rng, n, 6, gapped, similarity_mode=mode
                 )
                 dense = combined_distribution(model, X, config, positions).rows
-                cache = _forward_chain(model, X, frame_positions(n, positions), config)
+                cache = _forward_chain(model, X, band(n, positions, config), config)
                 assert np.allclose(_diagonal(cache, config), np.diag(dense), rtol=1e-12, atol=0)
                 anchors = np.sort(rng.choice(n, size=20, replace=False))
                 rows = _distribution_rows(cache, anchors, config)["F"]
                 assert np.allclose(rows, dense[anchors], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("L", [7, 14])
+    def test_closed_band_diagonal_and_rows_match_dense(self, L, mode):
+        # positions at half frames put frames exactly L/2 apart, where the
+        # kernel rounds to 2.2e-16 rather than 0 for L = 7 and 14
+        rng = np.random.default_rng(L)
+        n = ROW_BLOCK + 61
+        model, X, config, _ = random_instance(rng, n, 6, False, similarity_mode=mode)
+        config = replace(config, L=L)
+        positions = np.sort(rng.choice(3 * n, size=n, replace=False)) / 2.0
+        assert np.any(np.abs(positions[:, None] - positions[None, :]) == L / 2)
+        dense = combined_distribution(model, X, config, positions).rows
+        cache = _forward_chain(model, X, band(n, positions, config), config)
+        assert np.allclose(_diagonal(cache, config), np.diag(dense), rtol=1e-12, atol=0)
+        anchors = np.sort(rng.choice(n, size=30, replace=False))
+        rows = _distribution_rows(cache, anchors, config)["F"]
+        assert np.allclose(rows, dense[anchors], rtol=1e-12, atol=0)
 
     def test_epoch_selection_equals_dense_selection(self):
         rng = np.random.default_rng(9)
         n = ROW_BLOCK + 50
         model, X, config, positions = random_instance(rng, n, 5, True, per_anchor=3)
         config = replace(config, batch_size=1)  # every frame is an anchor: two blocks
-        cache = _forward_chain(model, X, frame_positions(n, positions), config)
+        cache = _forward_chain(model, X, band(n, positions, config), config)
         got = _select_epoch_triplets(cache, config, np.random.default_rng(21))
         dense = combined_distribution(model, X, config, positions)
         want_rng = np.random.default_rng(21)

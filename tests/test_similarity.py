@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from tsaseg.similarity import (
     ZeroNormRowError,
     combine,
     semantic_distribution,
+    temporal_band,
     temporal_distribution,
     temporal_weight,
 )
@@ -149,6 +151,75 @@ class TestTemporalDistribution:
     def test_non_finite_position_rejected(self, bad):
         with pytest.raises(ValueError, match=r"non-finite frame position .* at index 1"):
             temporal_distribution(3, TemporalKernel(6), positions=[0.0, bad, 2.0])
+
+    @pytest.mark.parametrize(
+        "positions, index",
+        [([0.0, 2.0, 2.0, 3.0], 2), ([0.0, 3.0, 1.0, 4.0], 2), ([1.0, 0.0, 2.0, 3.0], 1)],
+        ids=["repeat", "step_back", "first_step"],
+    )
+    def test_non_increasing_positions_rejected(self, positions, index):
+        with pytest.raises(ValueError, match=rf"increase strictly: .* at index {index} follows"):
+            temporal_distribution(4, TemporalKernel(6), positions=positions)
+
+
+def kernel_formula(positions, kernel):
+    """The clipped, row-normalized kernel over every pair of frames."""
+    weights = np.maximum(temporal_weight(np.abs(positions[:, None] - positions[None, :]), kernel), 0.0)
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+class TestTemporalBand:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 60),
+        L=st.integers(1, 20),
+        spacing=st.sampled_from(("integer", "half_frames", "tenths", "float")),
+    )
+    def test_equals_kernel_formula(self, seed, n, L, spacing):
+        rng = np.random.default_rng(seed)
+        if spacing == "integer":  # consecutive frames from an arbitrary start
+            positions = np.arange(n, dtype=np.float64) + rng.integers(0, 1000)
+        elif spacing == "half_frames":  # gapped, with distances of exactly L/2 for odd L
+            positions = np.sort(rng.choice(4 * n, size=n, replace=False)) / 2.0
+        elif spacing == "tenths":  # rounded steps: p_i + L/2 and p_j differ in the last bit
+            positions = (np.arange(n) + rng.integers(0, 1000)) * 0.1
+        else:  # gapped at arbitrary float steps
+            positions = np.cumsum(rng.uniform(0.05, 3.0, size=n))
+        kernel = TemporalKernel(L)
+        got = temporal_band(positions, kernel).toarray()
+        want = kernel_formula(positions, kernel)
+        assert np.array_equal(got > 0, want > 0)
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "L, positions",
+        [(7, np.arange(40) * 0.5), (14, np.arange(40) * 1.0), (7, np.arange(60) * 0.1)],
+        ids=["L7_half_frames", "L14_frames", "L7_tenths"],
+    )
+    def test_band_closed_where_half_window_weight_rounds_positive(self, L, positions):
+        kernel = TemporalKernel(L)
+        assert temporal_weight(L / 2, kernel) == 2.220446049250313e-16
+        dist = np.abs(positions[:, None] - positions[None, :])
+        band = temporal_band(positions, kernel).toarray()
+        assert np.any(dist == L / 2) and np.all(band[dist == L / 2] > 0)
+        # at tenths, 0.1 * 3 + 3.5 rounds below 0.1 * 38, yet 0.1 * 38 - 0.1 * 3 rounds to 3.5
+        want = kernel_formula(positions, kernel)
+        assert np.array_equal(band > 0, want > 0)
+        assert np.max(np.abs(band - want)) <= 1e-15
+
+    def test_peak_memory_grows_with_band_not_frames_squared(self):
+        n, L = 10_000, 20
+        positions = np.arange(n, dtype=np.float64)
+        tracemalloc.start()
+        try:
+            band = temporal_band(positions, TemporalKernel(L))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert band.nnz <= n * (L + 1)
+        assert peak < 16 * n * (L + 1) * 8  # a few arrays of one entry per band slot
+        assert peak < n * n * 8 / 50  # one N x N float64 matrix is 800 MB
 
 
 class TestCombine:
