@@ -6,7 +6,10 @@ are only consistent within one result. The spectral path runs on a
 dense symmetric normalized Laplacian whose k smallest eigenpairs come
 from LAPACK through ``scipy.linalg.eigh`` (dense O(N^3) time and N^2
 memory). k-means takes its squared distances from
-``scipy.spatial.distance.cdist``.
+``scipy.spatial.distance.cdist``. Cluster means are grouped by one
+stable sort of the labels. FINCH's exact-k refinement makes
+mutual-nearest-mean merges and, after each, recomputes only the merged
+cluster's mean.
 """
 
 from __future__ import annotations
@@ -75,12 +78,19 @@ def _kmeans_pp_centers(x: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
 
 
 def _cluster_means(x: np.ndarray, labels: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    """Mean row of each cluster in [0, len(fallback)); an empty one keeps its fallback row."""
+    """Mean row of each cluster in [0, len(fallback)); an empty one keeps its fallback row.
+
+    One stable sort groups the rows by label, so each cluster's members
+    are a contiguous slice in frame order: the same rows in the same
+    order as a boolean mask selects, hence the same bits from ``mean``.
+    """
+    k = fallback.shape[0]
+    order = np.argsort(labels, kind="stable")
+    grouped = x[order]
+    bounds = np.searchsorted(labels[order], np.arange(k + 1))
     means = fallback.copy()
-    for c in range(fallback.shape[0]):
-        members = x[labels == c]
-        if members.size:
-            means[c] = members.mean(axis=0)
+    for c in np.flatnonzero(np.diff(bounds)):
+        means[c] = grouped[bounds[c] : bounds[c + 1]].mean(axis=0)
     return means
 
 
@@ -158,17 +168,27 @@ def _relabel_first_appearance(labels: np.ndarray) -> np.ndarray:
 
 
 def _merge_to_k(x: np.ndarray, labels: np.ndarray, target_k: int) -> np.ndarray:
-    """Repeatedly merge the mutually-nearest pair of cluster means (cosine)."""
+    """Repeatedly merge the mutually-nearest pair of cluster means (cosine).
+
+    The means are taken once; a merge of clusters a < b drops row b and
+    recomputes row a alone, so every other row keeps its bits and a
+    merge costs O(N) mean work. The k×k cosine matrix is rebuilt from
+    ``means`` on every merge: updating one row would round differently
+    from the full product and could flip an ``argmin`` tie.
+    """
     labels = _relabel_first_appearance(labels)
     k = int(labels.max()) + 1
-    while k > target_k:
+    if k > target_k:
         means = _cluster_means(x, labels, np.zeros((k, x.shape[1])))
+    while k > target_k:
         dist = 1.0 - cosine_similarity_matrix(means)
         np.fill_diagonal(dist, np.inf)
         a, b = np.unravel_index(np.argmin(dist), dist.shape)
         a, b = min(a, b), max(a, b)
         labels = np.where(labels == b, a, labels)
         labels = np.where(labels > b, labels - 1, labels)
+        means = np.delete(means, b, axis=0)
+        means[a] = x[labels == a].mean(axis=0)
         k -= 1
     return _relabel_first_appearance(labels)
 

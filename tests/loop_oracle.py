@@ -1,22 +1,24 @@
 """Loop implementations of clustering and scoring helpers, kept as a test-only oracle.
 
 ``tsaseg.cluster`` now takes the first-neighbor components from
-``scipy.sparse.csgraph``, relabels and splits runs with NumPy and takes
-its k-means distances from ``scipy.spatial.distance.cdist``, and
-``tsaseg.evaluate`` reads its metrics off the contingency table. These
-are the per-frame loop, union-find, N x k x d difference-tensor and
-per-class mask versions they replaced, copied unchanged apart from the
-scorers' input conversion and length check, ``kmeans``' input
-conversion, range check and return type, and ``_lloyd``'s stop on a
-repeated assignment (the same rule as the library's), so tests can
-require identical results.
+``scipy.sparse.csgraph``, relabels and splits runs with NumPy, takes
+its k-means distances from ``scipy.spatial.distance.cdist``, groups
+cluster means by one stable sort and, in FINCH's exact-k refinement,
+recomputes only the merged cluster's mean; ``tsaseg.evaluate`` reads
+its metrics off the contingency table. These are the per-frame loop,
+union-find, N x k x d difference-tensor, per-cluster mask,
+all-means-per-merge and per-class mask versions they replaced, copied
+unchanged apart from the scorers' input conversion and length check,
+``kmeans``' input conversion, range check and return type, and
+``_lloyd``'s stop on a repeated assignment (the same rule as the
+library's), so tests can require identical results.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from tsaseg.similarity import ZeroNormRowError
+from tsaseg.similarity import ZeroNormRowError, cosine_similarity_matrix
 
 
 def segments(labels: np.ndarray) -> list[tuple[int, int, int]]:
@@ -76,6 +78,32 @@ def _relabel_first_appearance(labels: np.ndarray) -> np.ndarray:
     for i, lab in enumerate(labels.tolist()):
         out[i] = mapping.setdefault(lab, len(mapping))
     return out
+
+
+def _cluster_means(x: np.ndarray, labels: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    """Mean row of each cluster in [0, len(fallback)); an empty one keeps its fallback row."""
+    means = fallback.copy()
+    for c in range(fallback.shape[0]):
+        members = x[labels == c]
+        if members.size:
+            means[c] = members.mean(axis=0)
+    return means
+
+
+def _merge_to_k(x: np.ndarray, labels: np.ndarray, target_k: int) -> np.ndarray:
+    """Repeatedly merge the mutually-nearest pair of cluster means (cosine)."""
+    labels = _relabel_first_appearance(labels)
+    k = int(labels.max()) + 1
+    while k > target_k:
+        means = _cluster_means(x, labels, np.zeros((k, x.shape[1])))
+        dist = 1.0 - cosine_similarity_matrix(means)
+        np.fill_diagonal(dist, np.inf)
+        a, b = np.unravel_index(np.argmin(dist), dist.shape)
+        a, b = min(a, b), max(a, b)
+        labels = np.where(labels == b, a, labels)
+        labels = np.where(labels > b, labels - 1, labels)
+        k -= 1
+    return _relabel_first_appearance(labels)
 
 
 def _mapped(pred: np.ndarray, match) -> np.ndarray:

@@ -1,9 +1,11 @@
 """The library-backed clustering and scoring paths against the loop oracle.
 
 ``tests/loop_oracle.py`` holds the per-frame loops, union-find,
-difference-tensor k-means and per-class masks that SciPy and NumPy
-calls replaced. Scores, FINCH levels, relabelling, run splitting and
-k-means labels must be exactly equal to them.
+difference-tensor k-means, per-cluster and per-class masks and the
+all-means-per-merge FINCH refinement that SciPy and NumPy calls
+replaced. Scores, FINCH levels and exact-k labels, relabelling, run
+splitting, cluster means and k-means labels must be exactly equal to
+them.
 """
 
 import tracemalloc
@@ -68,6 +70,37 @@ class TestScoresMatchOracle:
             mof(np.array([-1, 0, 1]), np.array([0, 1, 1]), MatchResult({0: 0}, np.ones((1, 1))))
 
 
+def oracle_finch_helpers():
+    """Patch FINCH's union-find, relabel, mask means and full-recompute merge into ``cluster``."""
+    names = ("_first_neighbor_partition", "_relabel_first_appearance", "_cluster_means",
+             "_merge_to_k")
+    return mock.patch.multiple(cluster, **{name: getattr(loop_oracle, name) for name in names})
+
+
+def star_of_pairs(groups=5, spokes=10, d=64, r=0.1, eps=1e-3, seed=0):
+    """Frames whose FINCH hierarchy jumps from 105 clusters straight to 5.
+
+    Each group is a hub direction plus 2·spokes centers at angle ~r
+    off it along orthogonal axes, each center a tight pair of frames.
+    The frames pair up into 105 first-neighbor clusters, and every
+    spoke's nearest center is its hub, so the next level is the groups.
+    """
+    rng = np.random.default_rng(seed)
+    centers = []
+    for g in range(groups):
+        hub = np.zeros(d)
+        hub[g] = 1.0
+        centers.append(hub)
+        for j in range(spokes):
+            for sign in (1.0, -1.0):
+                spoke = hub.copy()
+                spoke[groups + j] = sign * r
+                centers.append(spoke)
+    centers = np.array(centers) + 1e-2 * r * rng.standard_normal((len(centers), d))
+    offset = eps * rng.standard_normal(centers.shape)
+    return np.concatenate([centers + offset, centers - offset])
+
+
 class TestClusteringMatchesOracle:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 120), d=st.integers(1, 8),
@@ -76,15 +109,59 @@ class TestClusteringMatchesOracle:
         x = np.random.default_rng(seed).standard_normal((n, d))
         required_k = min(required_k, n)
         levels, exact = finch(x), finch(x, required_k=required_k)
-        with mock.patch.object(cluster, "_first_neighbor_partition",
-                               loop_oracle._first_neighbor_partition), \
-                mock.patch.object(cluster, "_relabel_first_appearance",
-                                  loop_oracle._relabel_first_appearance):
+        with oracle_finch_helpers():
             oracle_levels, oracle_exact = finch(x), finch(x, required_k=required_k)
         assert [lv.k for lv in levels] == [lv.k for lv in oracle_levels]
         for lv, ref in zip(levels, oracle_levels):
             assert np.array_equal(lv.labels, ref.labels)
         assert np.array_equal(exact.labels, oracle_exact.labels)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), d=st.integers(1, 70),
+           k=st.integers(1, 30), fortran=st.booleans())
+    def test_grouped_means_equal_masks_bit_for_bit(self, seed, n, d, k, fortran):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3)
+        if fortran:
+            x = np.asfortranarray(x)
+        labels = labels_with_gaps(rng, n, k)
+        fallback = rng.standard_normal((k, d))
+        got = cluster._cluster_means(x, labels, fallback)
+        assert got.tobytes() == loop_oracle._cluster_means(x, labels, fallback).tobytes()
+        empty = np.setdiff1d(np.arange(k), labels)
+        assert np.array_equal(got[empty], fallback[empty])
+
+    def test_large_merge_equals_full_recompute(self):
+        x = star_of_pairs()
+        assert [lv.k for lv in finch(x)][:2] == [105, 5]  # eligible level for k = 6 has 105
+        for required_k in (2, 3, 6, 10):
+            with oracle_finch_helpers():
+                want = finch(x, required_k=required_k).labels
+            assert np.array_equal(finch(x, required_k=required_k).labels, want)
+
+    def test_merge_takes_the_means_at_most_once(self):
+        x = star_of_pairs()
+        calls = []
+        original = cluster._cluster_means
+
+        def counting_means(*args):
+            calls.append(1)
+            return original(*args)
+
+        def count(*args, **kwargs):
+            calls.clear()
+            with mock.patch.object(cluster, "_cluster_means", counting_means):
+                finch(x, *args, **kwargs)
+            return len(calls)
+
+        hierarchy = count()  # one call per level built
+        assert count(required_k=6) == hierarchy + 1
+        for level in finch(x):
+            assert count(required_k=level.k) == hierarchy
+        calls.clear()
+        with mock.patch.object(cluster, "_cluster_means", counting_means):
+            cluster._merge_to_k(x, np.arange(x.shape[0]), 6)
+        assert len(calls) == 1
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200), k=st.integers(1, 12))
