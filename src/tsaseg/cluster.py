@@ -7,9 +7,10 @@ dense symmetric normalized Laplacian whose k smallest eigenpairs come
 from LAPACK through ``scipy.linalg.eigh`` (dense O(N^3) time and N^2
 memory). k-means takes its squared distances from
 ``scipy.spatial.distance.cdist``. Cluster means are grouped by one
-stable sort of the labels. FINCH's exact-k refinement makes
-mutual-nearest-mean merges and, after each, recomputes only the merged
-cluster's mean.
+stable sort of the labels. FINCH finds first neighbours from the cosine
+distance rows, built ROW_BLOCK rows at a time in one reused block, so it
+holds no N x N matrix; its exact-k refinement makes mutual-nearest-mean
+merges and, after each, recomputes only the merged cluster's mean.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from .data_io import FeatureMatrix, as_values
-from .similarity import cosine_similarity_matrix
+from .similarity import ROW_BLOCK, _unit_rows, cosine_similarity_matrix
 
 KMEANS_RESTARTS = 10  # k-means++ seedings per call; the lowest WCSS wins
 KMEANS_MAX_ITER = 300  # Lloyd iterations per seeding
@@ -101,10 +102,14 @@ def _lloyd(x: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
     for _ in range(KMEANS_MAX_ITER):
         d2 = cdist(x, centers, "sqeuclidean")
         labels = np.argmin(d2, axis=1)
-        # refill empty clusters with the point farthest from its center
+        # refill empty clusters with the point farthest from its center;
+        # a refill can empty the cluster it takes the point from
+        sizes = np.bincount(labels, minlength=k)
         for c in range(k):
-            if not np.any(labels == c):
+            if sizes[c] == 0:
                 farthest = int(np.argmax(d2[np.arange(x.shape[0]), labels]))
+                sizes[labels[farthest]] -= 1
+                sizes[c] += 1
                 labels[farthest] = c
                 d2[farthest, :] = np.inf
                 d2[farthest, c] = 0.0
@@ -149,13 +154,29 @@ def kmeans(m: FeatureMatrix | np.ndarray, k: int, rng: np.random.Generator) -> S
 # ---------------------------------------------------------------------------
 
 
+def _first_neighbors(points: np.ndarray) -> np.ndarray:
+    """Each point's nearest other point by cosine distance; the first index wins a tie.
+
+    The distance rows are built ROW_BLOCK rows at a time in one reused
+    block, so no N x N array is held.
+    """
+    n = points.shape[0]
+    unit = _unit_rows(points)
+    nn = np.empty(n, dtype=np.int64)
+    block = np.empty((min(ROW_BLOCK, n), n))
+    for start in range(0, n, ROW_BLOCK):
+        stop = min(start + ROW_BLOCK, n)
+        dist = np.matmul(unit[start:stop], unit.T, out=block[: stop - start])
+        np.subtract(1.0, dist, out=dist)
+        dist[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        nn[start:stop] = np.argmin(dist, axis=1)
+    return nn
+
+
 def _first_neighbor_partition(points: np.ndarray) -> np.ndarray:
     """Connected components of the first-nearest-neighbor graph (cosine)."""
     n = points.shape[0]
-    dist = 1.0 - cosine_similarity_matrix(points)
-    np.fill_diagonal(dist, np.inf)
-    nn = np.argmin(dist, axis=1)
-    graph = csr_matrix((np.ones(n), (np.arange(n), nn)), shape=(n, n))
+    graph = csr_matrix((np.ones(n), (np.arange(n), _first_neighbors(points))), shape=(n, n))
     _, labels = connected_components(graph, connection="weak")
     return labels
 

@@ -27,6 +27,13 @@ its rows are gathered from it. Pooling reads diag(F), which needs no row
 of F, only the kernel row sums, built ROW_BLOCK rows at a time;
 selection reads the pooled anchors' rows; a gradient step reads the rows
 of its triplets' frames, outside which dL/dF and dL/dS vanish.
+
+:func:`train` allocates one :class:`Workspace` per video and every step
+writes its N x d arrays and the epoch head its kernel blocks into it,
+in place and in the same order of operations as fresh arrays, so a step
+allocates no N x d array and the learned bytes do not change.
+:func:`forward` and :func:`backward` run the same functions on fresh
+buffers.
 :func:`combined_distribution` and :func:`training_loss` build the dense
 matrices from the public operations and serve as the reference path in
 tests.
@@ -43,6 +50,7 @@ from scipy.sparse import csr_matrix
 from .data_io import FeatureMatrix, RunConfig, as_values
 from .similarity import (
     KL_SMOOTHING,
+    ROW_BLOCK,
     AffinityMatrix,
     TemporalKernel,
     ZeroNormRowError,
@@ -133,13 +141,56 @@ def init_model(
     return TsaModel(weights, biases, np.zeros(n_frames))
 
 
-def _mlp(model: TsaModel, X: np.ndarray) -> tuple[list, list, np.ndarray]:
-    """The hidden layers' pre-activations and inputs, and the output Z."""
+@dataclass(frozen=True)
+class Workspace:
+    """The N x d buffers one video's training chain writes into, allocated once per video.
+
+    ``pre`` and ``hid`` hold each hidden layer's pre-activation and
+    output. ``Z`` holds the learned rows, normalised in place to U.
+    ``dU`` holds dL/dU, turned in place into dL/dZ. ``tmp`` holds the
+    squared rows for the norms, then dU * U and rowdot * U, then takes
+    turns with ``dU`` as the error sent back through each layer.
+    ``kernel`` holds one ROW_BLOCK x N block of K for the epoch head.
+    """
+
+    pre: list[np.ndarray]
+    hid: list[np.ndarray]
+    Z: np.ndarray
+    dU: np.ndarray
+    tmp: np.ndarray
+    kernel: np.ndarray
+
+    @classmethod
+    def allocate(cls, model: TsaModel, n_frames: int) -> "Workspace":
+        def buffer():
+            return np.empty((n_frames, model.n_dims))
+
+        hidden = range(len(model.weights) - 1)
+        return cls([buffer() for _ in hidden], [buffer() for _ in hidden], buffer(), buffer(),
+                   buffer(), np.empty((min(ROW_BLOCK, n_frames), n_frames)))
+
+
+def _mlp(
+    model: TsaModel, X: np.ndarray, work: Workspace | None = None
+) -> tuple[list, list, np.ndarray]:
+    """The hidden layers' pre-activations and inputs, and the output Z.
+
+    Written into ``work``'s buffers when given, else into fresh arrays.
+    """
+    if work is None:
+        fresh = [None] * (len(model.weights) - 1)
+        pre_outs, hid_outs, z_out = fresh, fresh, None
+    else:
+        pre_outs, hid_outs, z_out = work.pre, work.hid, work.Z
     pre_acts, layer_inputs = [], [X]
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        pre_acts.append(layer_inputs[-1] @ w.T + b)
-        layer_inputs.append(np.maximum(pre_acts[-1], 0.0))
-    return pre_acts, layer_inputs, layer_inputs[-1] @ model.weights[-1].T + model.biases[-1]
+    for w, b, pre_out, hid_out in zip(model.weights, model.biases, pre_outs, hid_outs):
+        pre = np.matmul(layer_inputs[-1], w.T, out=pre_out)
+        pre += b
+        pre_acts.append(pre)
+        layer_inputs.append(np.maximum(pre, 0.0, out=hid_out))
+    Z = np.matmul(layer_inputs[-1], model.weights[-1].T, out=z_out)
+    Z += model.biases[-1]
+    return pre_acts, layer_inputs, Z
 
 
 def forward(model: TsaModel, X: FeatureMatrix | np.ndarray) -> np.ndarray:
@@ -188,28 +239,37 @@ def triplet_loss(f_ts: AffinityMatrix | np.ndarray, triplets: list[Triplet]) -> 
 # Differentiable chain: X -> Z -> cosine kernel -> row PDFs -> mix -> KL hinge
 # ---------------------------------------------------------------------------
 
-ROW_BLOCK = 128
-"""Rows of the N-wide matrices built at once by the epoch head and selection."""
-
-
-def _forward_chain(model: TsaModel, X: np.ndarray, band: csr_matrix, config: RunConfig) -> dict:
+def _forward_chain(
+    model: TsaModel,
+    X: np.ndarray,
+    band: csr_matrix,
+    config: RunConfig,
+    work: Workspace | None = None,
+) -> dict:
     """Run the per-frame part of the chain, caching what the row functions and backward need.
 
     Only N x d and length-N arrays and the temporal ``band`` (see
     :func:`temporal_band`) are kept; rows of the N-wide matrices come
-    from :func:`_distribution_rows` for the frames that need them.
+    from :func:`_distribution_rows` for the frames that need them. The
+    N x d arrays live in ``work`` (fresh buffers when it is None), which
+    the cache keeps for the epoch head and the backward pass; a later
+    call with the same workspace overwrites this cache's arrays.
     """
-    pre_acts, layer_inputs, Z = _mlp(model, X)
-    norms = np.linalg.norm(Z, axis=1)
+    if work is None:
+        work = Workspace.allocate(model, X.shape[0])
+    pre_acts, layer_inputs, Z = _mlp(model, X, work)
+    # np.linalg.norm(Z, axis=1), with its squares kept in work.tmp
+    norms = np.sqrt(np.add.reduce(np.multiply(Z, Z, out=work.tmp), axis=1))
     if np.any(norms == 0):
         i = int(np.argwhere(norms == 0)[0][0])
         raise ZeroNormRowError(f"learned row {i} collapsed to zero norm")
     return {
         "band": band,
+        "work": work,
         "pre_acts": pre_acts,
         "layer_inputs": layer_inputs,
         "norms": norms,
-        "U": Z / norms[:, None],
+        "U": np.divide(Z, norms[:, None], out=Z),
         "alpha": _alpha(model, config),
     }
 
@@ -240,15 +300,19 @@ def _diagonal(cache: dict, config: RunConfig) -> np.ndarray:
 
     F_ii = (alpha_i ft_ii + (1 - alpha_i) K_ii / sk_i + eps) / (1 + N eps),
     since every smoothed row sums to 1 + N eps. Only the kernel row sums
-    sk need whole rows of K, built ROW_BLOCK rows at a time.
+    sk need whole rows of K, built ROW_BLOCK rows at a time in the
+    workspace's kernel block.
     """
     U, alpha = cache["U"], cache["alpha"]
     n = U.shape[0]
     sk, k_ii = np.empty(n), np.empty(n)
     for start in range(0, n, ROW_BLOCK):
         stop = min(start + ROW_BLOCK, n)
-        K = np.exp((U[start:stop] @ U.T - 1.0) / config.h)
-        sk[start:stop] = K.sum(axis=1)
+        K = np.matmul(U[start:stop], U.T, out=cache["work"].kernel[: stop - start])
+        K -= 1.0
+        K /= config.h
+        np.exp(K, out=K)
+        K.sum(axis=1, out=sk[start:stop])
         k_ii[start:stop] = K[np.arange(stop - start), np.arange(start, stop)]
     mixed = alpha * cache["band"].diagonal() + (1.0 - alpha) * (k_ii / sk)
     return (mixed + KL_SMOOTHING) / (1.0 + n * KL_SMOOTHING)
@@ -351,20 +415,26 @@ def _similarity_to_params(
     """Backpropagate dL/dS through cosine normalization and the MLP.
 
     ``dS`` holds the non-zero rows ``index`` of the N x N gradient, so
-    (dS + dS^T) @ U splits into one product per side.
+    (dS + dS^T) @ U splits into one product per side. The N x d
+    intermediates are written into the cache's workspace.
     """
-    U, norms = cache["U"], cache["norms"]
-    dU = dS.T @ U[index]
+    U, norms, work = cache["U"], cache["norms"], cache["work"]
+    dU = np.matmul(dS.T, U[index], out=work.dU)
     dU[index] += dS @ U
-    dZ = (dU - (dU * U).sum(axis=1, keepdims=True) * U) / norms[:, None]
+    # dZ = (dU - rowsum(dU * U) * U) / norms, in place in dU
+    rowdot = np.multiply(dU, U, out=work.tmp).sum(axis=1, keepdims=True)
+    dU -= np.multiply(rowdot, U, out=work.tmp)
+    d = np.divide(dU, norms[:, None], out=dU)
+    spare = work.tmp
     grads: dict[str, np.ndarray] = {}
-    d = dZ
     pre_acts, layer_inputs = cache["pre_acts"], cache["layer_inputs"]
     for layer in reversed(range(len(model.weights))):
         grads[f"W{layer + 1}"] = d.T @ layer_inputs[layer]
         grads[f"b{layer + 1}"] = d.sum(axis=0)
         if layer > 0:
-            d = (d @ model.weights[layer]) * (pre_acts[layer - 1] > 0)
+            back = np.matmul(d, model.weights[layer], out=spare)
+            back *= pre_acts[layer - 1] > 0
+            d, spare = back, d
     return grads
 
 
@@ -489,6 +559,7 @@ def train(
     master = np.random.default_rng(config.seed)
     model = init_model(n_dims, n_frames, master, scheme="identity", X=values)
     band = temporal_band(frame_positions(n_frames, positions), TemporalKernel(config.L))
+    work = Workspace.allocate(model, n_frames)
     state = TrainState()
     snapshot = model.copy()
     still_epochs = 0
@@ -496,7 +567,7 @@ def train(
         lr = config.learning_rate * LR_DECAY ** (epoch - 1)
         shrink = 1.0 - lr * 2.0 * WEIGHT_DECAY
         try:
-            cache = _forward_chain(model, values, band, config)
+            cache = _forward_chain(model, values, band, config, work)
         except ZeroNormRowError:
             state.diverged = True
             break
@@ -509,7 +580,7 @@ def train(
             for start in range(0, len(triplets), config.per_anchor):
                 batch = triplets[start : start + config.per_anchor]
                 if start > 0:
-                    cache = _forward_chain(model, values, band, config)
+                    cache = _forward_chain(model, values, band, config, work)
                 loss, grads = _loss_and_gradients(model, cache, batch, config)
                 for name, param in model.param_items():
                     param *= shrink

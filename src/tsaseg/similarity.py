@@ -26,6 +26,8 @@ KL_SMOOTHING = 1e-8
 """Mass added to every entry of a combined row before renormalizing, so KL sees full support."""
 BAND_SLACK = 1e-9
 """Relative widening of the band search, so rounding in p +- L/2 drops no entry the kernel keeps."""
+ROW_BLOCK = 128
+"""Rows of an N-wide matrix built at once by the training epoch head, selection and FINCH."""
 
 
 class ZeroNormRowError(ValueError):

@@ -1,13 +1,14 @@
 """Loop implementations of clustering and scoring helpers, kept as a test-only oracle.
 
-``tsaseg.cluster`` now takes the first-neighbor components from
-``scipy.sparse.csgraph``, relabels and splits runs with NumPy, takes
-its k-means distances from ``scipy.spatial.distance.cdist``, groups
-cluster means by one stable sort and, in FINCH's exact-k refinement,
-recomputes only the merged cluster's mean; ``tsaseg.evaluate`` reads
-its metrics off the contingency table. These are the per-frame loop,
-union-find, N x k x d difference-tensor, per-cluster mask,
-all-means-per-merge and per-class mask versions they replaced, copied
+``tsaseg.cluster`` now finds first neighbours in row blocks, takes the
+first-neighbor components from ``scipy.sparse.csgraph``, relabels and
+splits runs with NumPy, takes its k-means distances from
+``scipy.spatial.distance.cdist``, groups cluster means by one stable
+sort and, in FINCH's exact-k refinement, recomputes only the merged
+cluster's mean; ``tsaseg.evaluate`` reads its metrics off the
+contingency table. These are the dense N x N distance matrix,
+per-frame loop, union-find, N x k x d difference-tensor, per-cluster
+mask, all-means-per-merge and per-class mask versions they replaced, copied
 unchanged apart from the scorers' input conversion and length check,
 ``kmeans``' input conversion, range check and return type, and
 ``_lloyd``'s stop on a repeated assignment (the same rule as the

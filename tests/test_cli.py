@@ -204,6 +204,16 @@ class TestSegmentCommand:
                      "--k", "100000", "--out-labels", str(tmp_path / "p.txt")])
         assert code == 1
 
+    def test_finch_on_zero_row_exits_one(self, tmp_path, capsys):
+        z = tmp_path / "z.txt"
+        z.write_text("4 2\n1.0 0.5\n0.0 0.0\n0.9 0.4\n-0.2 1.0\n")
+        out = tmp_path / "p.txt"
+        code = main(["segment", "--z", str(z), "--method", "finch", "--k", "2",
+                     "--out-labels", str(out)])
+        assert code == 1
+        assert "row 1 has zero norm" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvalCommand:
     def test_perfect_prediction_scores(self, video_files, tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import adjusted_rand_index
 from tsaseg.cluster import Segmentation, equal_split, finch, kmeans, spectral
+from tsaseg.similarity import ROW_BLOCK, ZeroNormRowError
 from tsaseg.synth import SynthSpec, generate
 
 
@@ -128,6 +129,14 @@ class TestFinch:
     def test_required_k_above_n_rejected(self, rng):
         with pytest.raises(ValueError):
             finch(rng.standard_normal((5, 2)), required_k=6)
+
+    @pytest.mark.parametrize("row", [0, 7, ROW_BLOCK + 3])
+    def test_zero_norm_row_named(self, rng, row):
+        x = rng.standard_normal((ROW_BLOCK + 10, 4))
+        x[row] = 0.0
+        for required_k in (None, 3):
+            with pytest.raises(ZeroNormRowError, match=f"row {row} "):
+                finch(x, required_k=required_k)
 
 
 class TestSpectral:

@@ -21,6 +21,7 @@ import loop_oracle
 from tsaseg import cluster
 from tsaseg.cluster import KMEANS_RESTARTS, Segmentation, finch, kmeans, spectral
 from tsaseg.evaluate import MatchResult, contingency, f1, iou, mof, score
+from tsaseg.similarity import ROW_BLOCK
 
 
 def labels_with_gaps(rng, n, k):
@@ -77,6 +78,17 @@ def oracle_finch_helpers():
     return mock.patch.multiple(cluster, **{name: getattr(loop_oracle, name) for name in names})
 
 
+def assert_finch_equals_oracle(x, required_k):
+    """Every FINCH level and the exact-k labels equal those of the oracle helpers."""
+    levels, exact = finch(x), finch(x, required_k=required_k)
+    with oracle_finch_helpers():
+        oracle_levels, oracle_exact = finch(x), finch(x, required_k=required_k)
+    assert [lv.k for lv in levels] == [lv.k for lv in oracle_levels]
+    for lv, ref in zip(levels, oracle_levels):
+        assert np.array_equal(lv.labels, ref.labels)
+    assert np.array_equal(exact.labels, oracle_exact.labels)
+
+
 def star_of_pairs(groups=5, spokes=10, d=64, r=0.1, eps=1e-3, seed=0):
     """Frames whose FINCH hierarchy jumps from 105 clusters straight to 5.
 
@@ -107,14 +119,7 @@ class TestClusteringMatchesOracle:
            required_k=st.integers(1, 120))
     def test_finch_equals_union_find(self, seed, n, d, required_k):
         x = np.random.default_rng(seed).standard_normal((n, d))
-        required_k = min(required_k, n)
-        levels, exact = finch(x), finch(x, required_k=required_k)
-        with oracle_finch_helpers():
-            oracle_levels, oracle_exact = finch(x), finch(x, required_k=required_k)
-        assert [lv.k for lv in levels] == [lv.k for lv in oracle_levels]
-        for lv, ref in zip(levels, oracle_levels):
-            assert np.array_equal(lv.labels, ref.labels)
-        assert np.array_equal(exact.labels, oracle_exact.labels)
+        assert_finch_equals_oracle(x, min(required_k, n))
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), d=st.integers(1, 70),
@@ -130,6 +135,31 @@ class TestClusteringMatchesOracle:
         assert got.tobytes() == loop_oracle._cluster_means(x, labels, fallback).tobytes()
         empty = np.setdiff1d(np.arange(k), labels)
         assert np.array_equal(got[empty], fallback[empty])
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           n=st.sampled_from((2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 5)),
+           d=st.integers(1, 6), distinct=st.integers(1, 60), required_k=st.integers(1, 40))
+    def test_row_blocks_equal_dense_on_tied_rows(self, seed, n, d, distinct, required_k):
+        # Repeated rows rounded to one decimal: many first-neighbour
+        # distances tie, and argmin must break them as the dense matrix does.
+        rng = np.random.default_rng(seed)
+        x = points_with_duplicates(rng, n, d, min(distinct, n)).round(1)
+        x[~x.any(axis=1), 0] = 0.1  # cosine needs non-zero rows
+        assert_finch_equals_oracle(x, min(required_k, n))
+
+    def test_peak_holds_one_row_block(self):
+        n, d = 4000, 64
+        x = np.random.default_rng(0).standard_normal((n, d))
+        tracemalloc.start()
+        try:
+            finch(x, required_k=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the dense cosine matrix and its 1 - copy were 2 * n * n * 8 bytes (244 MiB)
+        assert peak < 2 * n * ROW_BLOCK * 8
+        assert peak < n * n * 8 / 20
 
     def test_large_merge_equals_full_recompute(self):
         x = star_of_pairs()
@@ -229,6 +259,17 @@ class TestKmeansMatchesOracle:
                 first = np.argmin(((x[:, None, :] - centers[None]) ** 2).sum(axis=2), axis=1)
                 empties += len(centers) - np.unique(first).size
         assert empties > 0
+
+    def test_refill_that_empties_a_later_cluster_equals_oracle(self):
+        # no frame is nearest center 0, so it takes frame 2, the frame
+        # farthest from its center; frame 2 was cluster 2's only member,
+        # so cluster 2 must be refilled in turn
+        x = np.array([[0.0], [1.0], [30.0]])
+        centers = np.array([[-100.0], [0.0], [40.0]])
+        labels, wcss = cluster._lloyd(x, centers)
+        want_labels, want_wcss = loop_oracle._lloyd(x, centers, cluster.KMEANS_MAX_ITER)
+        assert np.array_equal(labels, want_labels) and wcss == want_wcss
+        assert np.unique(labels).size == 3
 
     def test_refill_cycle_stops_within_a_few_iterations(self):
         # 30 rows from 4 points, k = 6: a refilled cluster's mean coincides

@@ -24,7 +24,9 @@ from tsaseg.model import (
     _distribution_rows,
     _forward_chain,
     _loss_and_gradients,
+    Workspace,
     _select_epoch_triplets,
+    backward,
     combined_distribution,
     init_model,
     train,
@@ -297,3 +299,32 @@ class TestMemoryScaling:
         small, large = self.peak_bytes(1500), self.peak_bytes(3000)
         assert large / small < 3.0  # dense N x N state would give about 4
         assert large < 3000 * 3000 * 8  # below one N x N float64 matrix
+
+
+class TestWorkspace:
+    def test_step_in_a_built_workspace_allocates_less_than_one_feature_matrix(self):
+        n, d = 1500, 64
+        feats, _ = generate(
+            SynthSpec(n_segments=16, frames_per_segment=(190, 210), dims=d,
+                      n_action_classes=6, noise_sigma=0.35, seed=0)
+        )
+        X = np.ascontiguousarray(feats.values[:n])
+        config = DATASET_PRESETS["breakfast"]
+        model = init_model(d, n, np.random.default_rng(0), scheme="random")
+        work = Workspace.allocate(model, n)
+        cache = _forward_chain(model, X, band(n, None, config), config, work)
+        triplets = _select_epoch_triplets(cache, config, np.random.default_rng(1))
+        triplets = triplets[: config.per_anchor]  # one training step's batch
+        tracemalloc.start()
+        try:
+            cache = _forward_chain(model, X, cache["band"], config, work)
+            _, grads = _loss_and_gradients(model, cache, triplets, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the allocating step made about ten n x d float64 temporaries
+        assert peak < n * d * 8
+        assert cache["U"] is work.Z
+        # the same bytes as a step on fresh buffers
+        fresh = backward(model, X, triplets, config)
+        assert all(grads[name].tobytes() == g.tobytes() for name, g in fresh.items())
