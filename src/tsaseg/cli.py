@@ -54,15 +54,17 @@ PALETTE = [
 UNMATCHED_COLOR = "#2b2b2b"
 
 
-def _resolve_seed(flag_value, file_value=None) -> int:
-    if flag_value is not None:
-        return int(flag_value)
-    if file_value is not None:
-        return int(file_value)
-    env = os.environ.get("TSA_SEED")
-    if env is not None:
-        return int(env)
-    return 0
+def _resolve_seed(value, source: str = "--seed") -> int:
+    """``value``, read from ``source``, else TSA_SEED, else 0, as an integer in [0, 2**64)."""
+    if value is None:
+        value, source = os.environ.get("TSA_SEED", 0), "TSA_SEED"
+    try:
+        seed = int(value)
+        if 0 <= seed < 2**64:
+            return seed
+    except ValueError:
+        pass
+    raise ValueError(f"{source}: seed {value!r} is not an integer in [0, 2**64)")
 
 
 def _echo(lines, stream=None) -> None:
@@ -154,8 +156,8 @@ def cmd_train(args) -> int:
         if getattr(args, f"cfg_{f.name}") is not None
     }
     merged = {**file_values, **flag_values}
-    if "seed" not in merged:
-        merged["seed"] = _resolve_seed(None)
+    source = "--seed" if "seed" in flag_values else args.config
+    merged["seed"] = _resolve_seed(merged.get("seed"), source)
     config = make_config(**merged)
     resolved = config_lines(config)
     _echo(resolved)

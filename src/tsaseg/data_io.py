@@ -297,7 +297,6 @@ def load_config(path: str | Path) -> dict[str, str]:
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"config file not found: {path}")
-    known = {f.name for f in fields(RunConfig)}
     out: dict[str, str] = {}
     for i, line in enumerate(_read_text(path, "utf-8").splitlines()):
         stripped = line.strip()
@@ -307,8 +306,6 @@ def load_config(path: str | Path) -> dict[str, str]:
             raise DataFormatError(f"{path}: line {i + 1}: expected 'key = value'")
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in known:
-            raise DataFormatError(f"{path}: line {i + 1}: unknown config key {key!r}")
         try:
             _coerce(key, value)
         except ValueError as exc:

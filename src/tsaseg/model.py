@@ -1,12 +1,12 @@
 """Representation learning: shallow MLP, KL triplet loss, analytic gradients.
 
-The learnable map is a single-hidden-layer MLP with ReLU, both layers as
-wide as the input, plus a per-frame mixing vector alpha stored in
-unconstrained form (``a_raw``, alpha = logistic(a_raw)). Every row of
-the distribution the loss reads is the mix alpha*f_t + (1 - alpha)*f_s
-of the temporal and semantic rows; ``similarity_mode`` only fixes alpha:
-learned for ``combined``, 0 for ``semantic_only`` and 1 for
-``temporal_only``.
+The learnable map is the one-hidden-layer MLP z = W2 relu(W1 x + b1) + b2,
+both layers as wide as the input, plus a per-frame mixing vector alpha
+stored in unconstrained form (``a_raw``, alpha = logistic(a_raw)). Every
+row of the distribution the loss reads is the mix alpha*f_t +
+(1 - alpha)*f_s of the temporal and semantic rows; ``similarity_mode``
+only fixes alpha: learned for ``combined``, 0 for ``semantic_only`` and 1
+for ``temporal_only``.
 
 Each training epoch selects its triplets from the combined distribution
 at the *current* learned features (selection is detached from
@@ -42,7 +42,7 @@ tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -54,6 +54,7 @@ from .similarity import (
     AffinityMatrix,
     TemporalKernel,
     ZeroNormRowError,
+    as_rows,
     band_rows,
     combine,
     cosine_similarity_matrix,
@@ -80,10 +81,12 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TsaModel:
-    """MLP weights/biases plus the per-frame mixing parameters."""
+    """The MLP z = W2 relu(W1 x + b1) + b2 plus the per-frame mixing parameters."""
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    W1: np.ndarray
+    b1: np.ndarray
+    W2: np.ndarray
+    b2: np.ndarray
     a_raw: np.ndarray
 
     @property
@@ -92,23 +95,19 @@ class TsaModel:
         return _sigmoid(self.a_raw)
 
     @property
+    def biases(self) -> tuple[np.ndarray, np.ndarray]:
+        """(b1, b2), for ``perfbench/test_checks.py`` only, which reads the biases by this name."""
+        return self.b1, self.b2
+
+    @property
     def n_dims(self) -> int:
-        return self.weights[0].shape[1]
+        return self.W1.shape[1]
 
     def param_items(self) -> list[tuple[str, np.ndarray]]:
-        items = []
-        for i, (w, b) in enumerate(zip(self.weights, self.biases), start=1):
-            items.append((f"W{i}", w))
-            items.append((f"b{i}", b))
-        items.append(("a_raw", self.a_raw))
-        return items
+        return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
     def copy(self) -> "TsaModel":
-        return TsaModel(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.a_raw.copy(),
-        )
+        return TsaModel(*(param.copy() for _, param in self.param_items()))
 
 
 def init_model(
@@ -128,69 +127,56 @@ def init_model(
     """
     if scheme == "random":
         bound = 1.0 / math.sqrt(n_dims)
-        weights = [rng.uniform(-bound, bound, size=(n_dims, n_dims)) for _ in range(2)]
-        return TsaModel(weights, [np.zeros(n_dims), np.zeros(n_dims)], np.zeros(n_frames))
+        W1 = rng.uniform(-bound, bound, size=(n_dims, n_dims))
+        W2 = rng.uniform(-bound, bound, size=(n_dims, n_dims))
+        return TsaModel(W1, np.zeros(n_dims), W2, np.zeros(n_dims), np.zeros(n_frames))
     if scheme != "identity":
         raise ValueError(f"unknown init scheme {scheme!r}")
     if X is None:
         raise ValueError("identity init needs the feature matrix to size its bias shift")
     shift = 1.0 + max(0.0, -float(np.min(X)))
     # separate arrays: training shrinks every parameter block in place
-    weights = [np.eye(n_dims), np.eye(n_dims)]
-    biases = [np.full(n_dims, shift), np.full(n_dims, -shift)]
-    return TsaModel(weights, biases, np.zeros(n_frames))
+    return TsaModel(np.eye(n_dims), np.full(n_dims, shift), np.eye(n_dims),
+                    np.full(n_dims, -shift), np.zeros(n_frames))
 
 
 @dataclass(frozen=True)
 class Workspace:
     """The N x d buffers one video's training chain writes into, allocated once per video.
 
-    ``pre`` and ``hid`` hold each hidden layer's pre-activation and
+    ``pre`` and ``hid`` hold the hidden layer's pre-activation and
     output. ``Z`` holds the learned rows, normalised in place to U.
     ``dU`` holds dL/dU, turned in place into dL/dZ. ``tmp`` holds the
-    squared rows for the norms, then dU * U and rowdot * U, then takes
-    turns with ``dU`` as the error sent back through each layer.
+    squared rows for the norms, then dU * U and rowdot * U, then the
+    error sent back through W2 to the hidden layer's pre-activation.
     ``kernel`` holds one ROW_BLOCK x N block of K for the epoch head.
     """
 
-    pre: list[np.ndarray]
-    hid: list[np.ndarray]
+    pre: np.ndarray
+    hid: np.ndarray
     Z: np.ndarray
     dU: np.ndarray
     tmp: np.ndarray
     kernel: np.ndarray
 
     @classmethod
-    def allocate(cls, model: TsaModel, n_frames: int) -> "Workspace":
+    def allocate(cls, n_frames: int, n_dims: int) -> "Workspace":
         def buffer():
-            return np.empty((n_frames, model.n_dims))
+            return np.empty((n_frames, n_dims))
 
-        hidden = range(len(model.weights) - 1)
-        return cls([buffer() for _ in hidden], [buffer() for _ in hidden], buffer(), buffer(),
-                   buffer(), np.empty((min(ROW_BLOCK, n_frames), n_frames)))
+        return cls(buffer(), buffer(), buffer(), buffer(), buffer(),
+                   np.empty((min(ROW_BLOCK, n_frames), n_frames)))
 
 
-def _mlp(
-    model: TsaModel, X: np.ndarray, work: Workspace | None = None
-) -> tuple[list, list, np.ndarray]:
-    """The hidden layers' pre-activations and inputs, and the output Z.
-
-    Written into ``work``'s buffers when given, else into fresh arrays.
-    """
-    if work is None:
-        fresh = [None] * (len(model.weights) - 1)
-        pre_outs, hid_outs, z_out = fresh, fresh, None
-    else:
-        pre_outs, hid_outs, z_out = work.pre, work.hid, work.Z
-    pre_acts, layer_inputs = [], [X]
-    for w, b, pre_out, hid_out in zip(model.weights, model.biases, pre_outs, hid_outs):
-        pre = np.matmul(layer_inputs[-1], w.T, out=pre_out)
-        pre += b
-        pre_acts.append(pre)
-        layer_inputs.append(np.maximum(pre, 0.0, out=hid_out))
-    Z = np.matmul(layer_inputs[-1], model.weights[-1].T, out=z_out)
-    Z += model.biases[-1]
-    return pre_acts, layer_inputs, Z
+def _mlp(model: TsaModel, X: np.ndarray, work: Workspace | None = None) -> np.ndarray:
+    """Z = W2 relu(W1 X + b1) + b2, in ``work``'s buffers when given, else in fresh arrays."""
+    pre, hid, Z = (None, None, None) if work is None else (work.pre, work.hid, work.Z)
+    pre = np.matmul(X, model.W1.T, out=pre)
+    pre += model.b1
+    hid = np.maximum(pre, 0.0, out=hid)
+    Z = np.matmul(hid, model.W2.T, out=Z)
+    Z += model.b2
+    return Z
 
 
 def forward(model: TsaModel, X: FeatureMatrix | np.ndarray) -> np.ndarray:
@@ -200,7 +186,7 @@ def forward(model: TsaModel, X: FeatureMatrix | np.ndarray) -> np.ndarray:
         raise ValueError(
             f"feature width {values.shape[1]} does not match model width {model.n_dims}"
         )
-    return _mlp(model, values)[2]
+    return _mlp(model, values)
 
 
 def _alpha(model: TsaModel, config: RunConfig) -> np.ndarray:
@@ -225,7 +211,7 @@ def triplet_loss(f_ts: AffinityMatrix | np.ndarray, triplets: list[Triplet]) -> 
     """Mean hinge of paired KL divergences over the triplet list."""
     if not triplets:
         raise ValueError("empty triplet list")
-    rows = f_ts.rows if isinstance(f_ts, AffinityMatrix) else np.asarray(f_ts, dtype=np.float64)
+    rows = as_rows(f_ts)
     total = 0.0
     for t in triplets:
         gap = kl_divergence(rows[t.anchor], rows[t.positive]) - kl_divergence(
@@ -256,8 +242,8 @@ def _forward_chain(
     call with the same workspace overwrites this cache's arrays.
     """
     if work is None:
-        work = Workspace.allocate(model, X.shape[0])
-    pre_acts, layer_inputs, Z = _mlp(model, X, work)
+        work = Workspace.allocate(*X.shape)
+    Z = _mlp(model, X, work)
     # np.linalg.norm(Z, axis=1), with its squares kept in work.tmp
     norms = np.sqrt(np.add.reduce(np.multiply(Z, Z, out=work.tmp), axis=1))
     if np.any(norms == 0):
@@ -266,8 +252,7 @@ def _forward_chain(
     return {
         "band": band,
         "work": work,
-        "pre_acts": pre_acts,
-        "layer_inputs": layer_inputs,
+        "X": X,
         "norms": norms,
         "U": np.divide(Z, norms[:, None], out=Z),
         "alpha": _alpha(model, config),
@@ -425,16 +410,11 @@ def _similarity_to_params(
     rowdot = np.multiply(dU, U, out=work.tmp).sum(axis=1, keepdims=True)
     dU -= np.multiply(rowdot, U, out=work.tmp)
     d = np.divide(dU, norms[:, None], out=dU)
-    spare = work.tmp
-    grads: dict[str, np.ndarray] = {}
-    pre_acts, layer_inputs = cache["pre_acts"], cache["layer_inputs"]
-    for layer in reversed(range(len(model.weights))):
-        grads[f"W{layer + 1}"] = d.T @ layer_inputs[layer]
-        grads[f"b{layer + 1}"] = d.sum(axis=0)
-        if layer > 0:
-            back = np.matmul(d, model.weights[layer], out=spare)
-            back *= pre_acts[layer - 1] > 0
-            d, spare = back, d
+    grads = {"W2": d.T @ work.hid, "b2": d.sum(axis=0)}
+    d_pre = np.matmul(d, model.W2, out=work.tmp)
+    d_pre *= work.pre > 0
+    grads["W1"] = d_pre.T @ cache["X"]
+    grads["b1"] = d_pre.sum(axis=0)
     return grads
 
 
@@ -559,7 +539,7 @@ def train(
     master = np.random.default_rng(config.seed)
     model = init_model(n_dims, n_frames, master, scheme="identity", X=values)
     band = temporal_band(frame_positions(n_frames, positions), TemporalKernel(config.L))
-    work = Workspace.allocate(model, n_frames)
+    work = Workspace.allocate(n_frames, n_dims)
     state = TrainState()
     snapshot = model.copy()
     still_epochs = 0

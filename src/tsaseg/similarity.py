@@ -61,6 +61,11 @@ class AffinityMatrix:
         object.__setattr__(self, "rows", rows)
 
 
+def as_rows(f: AffinityMatrix | np.ndarray) -> np.ndarray:
+    """The rows of an AffinityMatrix, or an array of rows as float64."""
+    return f.rows if isinstance(f, AffinityMatrix) else np.asarray(f, dtype=np.float64)
+
+
 @dataclass(frozen=True)
 class TemporalKernel:
     """Decaying temporal weight w(d) = -1 + 2 exp(-d / beta).
@@ -199,8 +204,7 @@ def combine(
     KL_SMOOTHING is added to every entry (then rows renormalized) so the
     result has full support, which the KL divergence downstream requires.
     """
-    fs = fs.rows if isinstance(fs, AffinityMatrix) else np.asarray(fs, dtype=np.float64)
-    ft = ft.rows if isinstance(ft, AffinityMatrix) else np.asarray(ft, dtype=np.float64)
+    fs, ft = as_rows(fs), as_rows(ft)
     alpha = np.asarray(alpha, dtype=np.float64)
     if fs.shape != ft.shape:
         raise ValueError(f"shape mismatch: semantic {fs.shape} vs temporal {ft.shape}")

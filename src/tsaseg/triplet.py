@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .similarity import AffinityMatrix
+from .similarity import AffinityMatrix, as_rows
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,6 @@ class Triplet:
             raise ValueError("triplet frame indices must be non-negative")
 
 
-def _rows(f_ts: AffinityMatrix | np.ndarray) -> np.ndarray:
-    return f_ts.rows if isinstance(f_ts, AffinityMatrix) else np.asarray(f_ts, dtype=np.float64)
-
-
 def stochastic_pool(
     f_ts: AffinityMatrix | np.ndarray,
     batch_size: int,
@@ -64,7 +60,7 @@ def stochastic_pool(
     proportional to the row's diagonal entry; ``mode='uniform'`` samples
     uniformly. The last window may be shorter. Deterministic under rng.
     """
-    return pool_anchors(np.diag(_rows(f_ts)), batch_size, rng, mode)
+    return pool_anchors(np.diag(as_rows(f_ts)), batch_size, rng, mode)
 
 
 def pool_anchors(
@@ -143,7 +139,9 @@ def sample_triplets(
     if per_anchor < 1:
         raise ValueError("per_anchor must be a positive integer")
     children = rng.spawn(len(pool))
-    return select_triplets(_rows(f_ts)[pool.indices], pool.indices, children, per_anchor, fraction)
+    return select_triplets(
+        as_rows(f_ts)[pool.indices], pool.indices, children, per_anchor, fraction
+    )
 
 
 def select_triplets(

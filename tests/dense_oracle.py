@@ -1,7 +1,7 @@
 """The dense gradient engine, kept as a test-only oracle.
 
 These are the N x N forward chain and analytic gradients that the
-row-sparse engine in ``tsaseg.model`` replaced, copied unchanged. They
+row-sparse engine in ``tsaseg.model`` replaced, on fresh arrays. They
 build every row of the similarity, kernel and distribution matrices, so
 they serve as an independent reference for the row-sparse loss and
 gradients at test sizes.
@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from tsaseg.data_io import RunConfig
-from tsaseg.model import TsaModel, _sigmoid
+from tsaseg.model import TsaModel
 from tsaseg.similarity import KL_SMOOTHING, ZeroNormRowError
 from tsaseg.triplet import Triplet
 
@@ -20,19 +20,9 @@ from tsaseg.triplet import Triplet
 def _forward_chain(model: TsaModel, X: np.ndarray, ft_rows: np.ndarray, config: RunConfig) -> dict:
     """Run the full pipeline once, caching everything backward() needs."""
     cache: dict = {"X": X, "ft": ft_rows}
-    h = X
-    pre_acts = []
-    layer_inputs = [X]
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        a = h @ w.T + b
-        if i < last:
-            pre_acts.append(a)
-            h = np.maximum(a, 0.0)
-            layer_inputs.append(h)
-        else:
-            h = a
-    Z = h
+    pre = X @ model.W1.T + model.b1
+    hid = np.maximum(pre, 0.0)
+    Z = hid @ model.W2.T + model.b2
     norms = np.linalg.norm(Z, axis=1)
     if np.any(norms == 0):
         i = int(np.argwhere(norms == 0)[0][0])
@@ -42,7 +32,7 @@ def _forward_chain(model: TsaModel, X: np.ndarray, ft_rows: np.ndarray, config: 
     K = np.exp((S - 1.0) / config.h)
     sk = K.sum(axis=1)
     FS = K / sk[:, None]
-    alpha = _sigmoid(model.a_raw)
+    alpha = model.alpha
     if config.similarity_mode == "combined":
         mixed = alpha[:, None] * ft_rows + (1.0 - alpha[:, None]) * FS
     elif config.similarity_mode == "semantic_only":
@@ -53,8 +43,8 @@ def _forward_chain(model: TsaModel, X: np.ndarray, ft_rows: np.ndarray, config: 
     su = smoothed.sum(axis=1)
     F = smoothed / su[:, None]
     cache.update(
-        pre_acts=pre_acts,
-        layer_inputs=layer_inputs,
+        pre=pre,
+        hid=hid,
         Z=Z,
         norms=norms,
         U=U,
@@ -141,12 +131,10 @@ def _similarity_to_params(model: TsaModel, cache: dict, dS: np.ndarray) -> dict[
     U, norms = cache["U"], cache["norms"]
     dU = (dS + dS.T) @ U
     dZ = (dU - (dU * U).sum(axis=1, keepdims=True) * U) / norms[:, None]
-    grads: dict[str, np.ndarray] = {}
-    d = dZ
-    pre_acts, layer_inputs = cache["pre_acts"], cache["layer_inputs"]
-    for layer in reversed(range(len(model.weights))):
-        grads[f"W{layer + 1}"] = d.T @ layer_inputs[layer]
-        grads[f"b{layer + 1}"] = d.sum(axis=0)
-        if layer > 0:
-            d = (d @ model.weights[layer]) * (pre_acts[layer - 1] > 0)
-    return grads
+    d_pre = (dZ @ model.W2) * (cache["pre"] > 0)
+    return {
+        "W2": dZ.T @ cache["hid"],
+        "b2": dZ.sum(axis=0),
+        "W1": d_pre.T @ cache["X"],
+        "b1": d_pre.sum(axis=0),
+    }

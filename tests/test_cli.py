@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from tsaseg.cli import main, render_segmentation_svg
-from tsaseg.data_io import LabelSequence, load_features, load_labels, save_labels
+from tsaseg.data_io import LabelSequence, load_features, load_labels, make_config, save_labels
+from tsaseg.model import train
 
 
 @pytest.fixture
@@ -36,6 +37,15 @@ class TestSynthCommand:
                          "--seed", "9"]) == 0
         assert paths[0][0].read_bytes() == paths[1][0].read_bytes()
         assert paths[0][1].read_bytes() == paths[1][1].read_bytes()
+
+    @pytest.mark.parametrize("value", ["abc", "-3"])
+    def test_bad_env_seed_exits_one_naming_it(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("TSA_SEED", value)
+        code = main(["synth", "--out-features", str(tmp_path / "f.txt"),
+                     "--out-labels", str(tmp_path / "l.txt")])
+        assert code == 1
+        assert f"TSA_SEED: seed {value!r} is not an integer in [0, 2**64)" in capsys.readouterr().err
+        assert not (tmp_path / "f.txt").exists()
 
 
 class TestTrainCommand:
@@ -89,6 +99,27 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert f"{cfg}: line 2: config key 'max_epochs': '2.5' is not an int" in err
         assert not (tmp_path / "z.bin").exists()
+
+    def test_negative_config_file_seed_names_the_file(self, video_files, tmp_path, capsys):
+        features, _ = video_files
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed = -3\n")
+        code = main(["train", "--features", str(features), "--out-z", str(tmp_path / "z.bin"),
+                     "--config", str(cfg)])
+        assert code == 1
+        assert f"{cfg}: seed '-3' is not an integer in [0, 2**64)" in capsys.readouterr().err
+
+    def test_out_model_holds_the_returned_parameters(self, video_files, tmp_path):
+        features, _ = video_files
+        out = tmp_path / "m.npz"
+        assert main(["train", "--features", str(features), "--out-z", str(tmp_path / "z.bin"),
+                     "--out-model", str(out), "--seed", "4", "--max-epochs", "3"]) == 0
+        model, _, _ = train(load_features(features), make_config(seed=4, max_epochs=3))
+        with np.load(out) as saved:
+            assert saved.files == ["W1", "b1", "W2", "b2", "a_raw"]
+            for name, param in model.param_items():
+                assert saved[name].shape == param.shape
+                assert saved[name].tobytes() == param.tobytes()
 
     @pytest.mark.parametrize(
         "flag, value, message",

@@ -51,14 +51,14 @@ def generic_instance(seed, n_frames=20, n_dims=8, n_triplets=8, **config_kw):
         X = rng.standard_normal((n_frames, n_dims))
         config = RunConfig(L=6, batch_size=4, **config_kw)
         model = init_model(n_dims, n_frames, rng)
-        for b in model.biases:
+        for b in (model.b1, model.b2):
             b += rng.normal(0.0, 0.1, size=b.shape)
         model.a_raw[:] = 0.5 * rng.standard_normal(n_frames)
         triplets = []
         while len(triplets) < n_triplets:
             i, p, q = (int(v) for v in rng.choice(n_frames, size=3, replace=False))
             triplets.append(Triplet(i, p, q))
-        pre_act = X @ model.weights[0].T + model.biases[0]
+        pre_act = X @ model.W1.T + model.b1
         fts = combined_distribution(model, X, config)
         gaps = []
         for t in triplets:
@@ -93,19 +93,17 @@ def max_relative_error(analytic, numeric):
 class TestForward:
     def test_identity_network_on_nonnegative_input(self, rng):
         X = np.abs(rng.standard_normal((5, 3)))
-        model = TsaModel([np.eye(3), np.eye(3)], [np.zeros(3), np.zeros(3)], np.zeros(5))
+        model = TsaModel(np.eye(3), np.zeros(3), np.eye(3), np.zeros(3), np.zeros(5))
         assert np.allclose(forward(model, X), X)
 
     def test_zero_weights_give_bias_rows(self, rng):
         b2 = np.array([1.0, -2.0, 3.0])
-        model = TsaModel(
-            [np.zeros((3, 3)), np.zeros((3, 3))], [np.zeros(3), b2.copy()], np.zeros(4)
-        )
+        model = TsaModel(np.zeros((3, 3)), np.zeros(3), np.zeros((3, 3)), b2.copy(), np.zeros(4))
         out = forward(model, rng.standard_normal((4, 3)))
         assert np.allclose(out, np.tile(b2, (4, 1)))
 
     def test_relu_clips_negative_coordinate(self):
-        model = TsaModel([np.eye(2), np.eye(2)], [np.zeros(2), np.zeros(2)], np.zeros(2))
+        model = TsaModel(np.eye(2), np.zeros(2), np.eye(2), np.zeros(2), np.zeros(2))
         out = forward(model, np.array([[1.0, -1.0], [2.0, 0.5]]))
         assert np.allclose(out[0], [1.0, 0.0])
 
@@ -122,7 +120,7 @@ class TestForward:
     def test_random_init_bounds(self, rng):
         model = init_model(9, 5, rng, scheme="random")
         bound = 1.0 / math.sqrt(9)
-        for w in model.weights:
+        for w in (model.W1, model.W2):
             assert np.all(np.abs(w) <= bound)
         assert np.all(model.alpha == 0.5)
 
@@ -276,7 +274,7 @@ class TestBackward:
 
     def test_non_finite_parameters_raise(self):
         model, X, triplets, config = generic_instance(8)
-        model.weights[0][0, 0] = np.inf
+        model.W1[0, 0] = np.inf
         with np.errstate(all="ignore"), pytest.raises(DivergenceError):
             backward(model, X, triplets, config)
 
@@ -338,7 +336,7 @@ class TestTrain:
         factor = 1.0 - cfg.learning_rate * 2.0 * WEIGHT_DECAY
         reference = init_model(3, 30, np.random.default_rng(cfg.seed), scheme="identity", X=X.values)
         assert state.epoch == 1
-        for got, want in zip(model.weights + model.biases, reference.weights + reference.biases):
+        for (_, got), (_, want) in zip(model.param_items(), reference.param_items()):
             assert np.array_equal(got, want * factor)
 
     def test_batch_size_larger_than_video_rejected(self):

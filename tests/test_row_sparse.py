@@ -56,7 +56,7 @@ def random_instance(rng, n, d, positions_gapped, **config_kw):
     config = RunConfig(L=int(rng.integers(2, 10)), batch_size=4, **config_kw)
     X = rng.standard_normal((n, d))
     model = init_model(d, n, rng, scheme="random")
-    for b in model.biases:
+    for b in (model.b1, model.b2):
         b += rng.normal(0.0, 0.1, size=b.shape)
     model.a_raw[:] = rng.standard_normal(n)
     positions = None
@@ -311,7 +311,7 @@ class TestWorkspace:
         X = np.ascontiguousarray(feats.values[:n])
         config = DATASET_PRESETS["breakfast"]
         model = init_model(d, n, np.random.default_rng(0), scheme="random")
-        work = Workspace.allocate(model, n)
+        work = Workspace.allocate(n, d)
         cache = _forward_chain(model, X, band(n, None, config), config, work)
         triplets = _select_epoch_triplets(cache, config, np.random.default_rng(1))
         triplets = triplets[: config.per_anchor]  # one training step's batch
