@@ -1,7 +1,9 @@
 """Command-line pipeline: synth, train, segment, eval, plot.
 
 Every run echoes its fully resolved configuration (defaults included)
-to stderr as ``# key = value`` lines. Exit codes: 0 success, 1 user or
+to stderr as ``# key = value`` lines. An output path that names one of
+the run's inputs or another of its outputs is refused before any work,
+so no verb overwrites what it reads. Exit codes: 0 success, 1 user or
 data error, 2 internal invariant failure. The environment variable
 ``TSA_SEED`` acts as seed fallback when no flag or config supplies one.
 """
@@ -85,13 +87,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate a planted synthetic video")
     p.add_argument("--out-features", required=True)
     p.add_argument("--out-labels", required=True)
-    p.add_argument("--segments", type=int, default=6)
-    p.add_argument("--frames-min", type=int, default=30)
-    p.add_argument("--frames-max", type=int, default=50)
-    p.add_argument("--dims", type=int, default=16)
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--noise", type=float, default=0.15)
-    p.add_argument("--separation", type=float, default=1.0)
+    p.add_argument("--segments", type=int, default=SynthSpec.n_segments)
+    p.add_argument("--frames-min", type=int, default=SynthSpec.frames_per_segment[0])
+    p.add_argument("--frames-max", type=int, default=SynthSpec.frames_per_segment[1])
+    p.add_argument("--dims", type=int, default=SynthSpec.dims)
+    p.add_argument("--classes", type=int, default=SynthSpec.n_action_classes)
+    p.add_argument("--noise", type=float, default=SynthSpec.noise_sigma)
+    p.add_argument("--separation", type=float, default=SynthSpec.center_separation)
     p.add_argument("--background", action="store_true")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--format", choices=("text", "binary"), default="text")
@@ -128,6 +130,40 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--out", required=True)
     return parser
+
+
+# Each verb's file flags by argparse dest: (inputs, outputs).
+FILE_FLAGS = {
+    "synth": ((), ("out_features", "out_labels")),
+    "train": (("features", "config"), ("out_z", "out_model", "log", "dump_triplets")),
+    "segment": (("z",), ("out_labels",)),
+    "eval": (("pred", "gt"), ("out",)),
+    "plot": (("gt", "pred"), ("out",)),
+}
+
+
+def _file_paths(args, dests):
+    """(flag, path) for each file the flags name; plot's repeated --pred is NAME=PATH."""
+    for dest in dests:
+        values = getattr(args, dest)
+        paths = [v.partition("=")[2] for v in values] if isinstance(values, list) else [values]
+        for path in filter(None, paths):
+            if dest == "out_model" and not path.endswith(".npz"):
+                path += ".npz"  # np.savez appends the suffix
+            yield f"--{dest.replace('_', '-')}", path
+
+
+def _refuse_aliased_outputs(args) -> None:
+    """Raise UsageError when an output resolves to an input or an earlier output of the run."""
+    inputs, outputs = FILE_FLAGS[args.verb]
+    owner = {}
+    for flag, path in _file_paths(args, inputs):
+        owner.setdefault(Path(path).resolve(), flag)
+    for flag, path in _file_paths(args, outputs):
+        key = Path(path).resolve()
+        if key in owner:
+            raise UsageError(f"{flag} {path} names the same file as {owner[key]}")
+        owner[key] = flag
 
 
 def cmd_synth(args) -> int:
@@ -313,6 +349,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _refuse_aliased_outputs(args)
         handler = {
             "synth": cmd_synth,
             "train": cmd_train,

@@ -244,10 +244,9 @@ def finch(
             meta = np.zeros(2, dtype=np.int64)
         else:
             meta = _first_neighbor_partition(means)
-        new_labels = _relabel_first_appearance(meta[labels])
-        if int(new_labels.max()) + 1 >= k:
-            break  # no further coarsening possible
-        labels = new_labels
+        # every first-neighbour component has two or more members, so a
+        # level has at most k // 2 clusters and the loop ends at one
+        labels = _relabel_first_appearance(meta[labels])
         levels.append(labels)
 
     if required_k is None:

@@ -28,12 +28,12 @@ of F, only the kernel row sums, built ROW_BLOCK rows at a time;
 selection reads the pooled anchors' rows; a gradient step reads the rows
 of its triplets' frames, outside which dL/dF and dL/dS vanish.
 
-:func:`train` allocates one :class:`Workspace` per video and every step
-writes its N x d arrays and the epoch head its kernel blocks into it,
-in place and in the same order of operations as fresh arrays, so a step
-allocates no N x d array and the learned bytes do not change.
-:func:`forward` and :func:`backward` run the same functions on fresh
-buffers.
+A :class:`Workspace` is one video's training context: its features, its
+temporal band and the N x d buffers the chain writes in place, in the
+same order of operations as fresh arrays, so a step allocates no N x d
+array and the learned bytes do not change. :func:`train` allocates one
+per video, :func:`backward` one per call; :func:`forward` runs the MLP
+on fresh arrays.
 :func:`combined_distribution` and :func:`training_loss` build the dense
 matrices from the public operations and serve as the reference path in
 tests.
@@ -140,32 +140,35 @@ def init_model(
                     np.full(n_dims, -shift), np.zeros(n_frames))
 
 
-@dataclass(frozen=True)
+@dataclass
 class Workspace:
-    """The N x d buffers one video's training chain writes into, allocated once per video.
+    """One video's training context: its features, its temporal band and the chain's buffers.
 
-    ``pre`` and ``hid`` hold the hidden layer's pre-activation and
-    output. ``Z`` holds the learned rows, normalised in place to U.
-    ``dU`` holds dL/dU, turned in place into dL/dZ. ``tmp`` holds the
-    squared rows for the norms, then dU * U and rowdot * U, then the
-    error sent back through W2 to the hidden layer's pre-activation.
-    ``kernel`` holds one ROW_BLOCK x N block of K for the epoch head.
+    ``X`` and ``band`` (see :func:`temporal_band`) are fixed per video.
+    The N x d buffers are allocated once: ``pre`` and ``hid`` hold the
+    hidden layer's pre-activation and output, ``Z`` the learned rows,
+    normalised in place to ``U``. ``dU`` holds dL/dU, turned in place
+    into dL/dZ. ``tmp`` holds the squared rows for the norms, then
+    dU * U and rowdot * U, then the error sent back through W2 to the
+    hidden layer's pre-activation. :func:`_forward_chain` sets ``U``,
+    ``norms`` and ``alpha`` at the current parameters; the next call
+    overwrites them.
     """
 
+    X: np.ndarray
+    band: csr_matrix
     pre: np.ndarray
     hid: np.ndarray
     Z: np.ndarray
     dU: np.ndarray
     tmp: np.ndarray
-    kernel: np.ndarray
+    U: np.ndarray | None = None
+    norms: np.ndarray | None = None
+    alpha: np.ndarray | None = None
 
     @classmethod
-    def allocate(cls, n_frames: int, n_dims: int) -> "Workspace":
-        def buffer():
-            return np.empty((n_frames, n_dims))
-
-        return cls(buffer(), buffer(), buffer(), buffer(), buffer(),
-                   np.empty((min(ROW_BLOCK, n_frames), n_frames)))
+    def allocate(cls, X: np.ndarray, band: csr_matrix) -> "Workspace":
+        return cls(X, band, *(np.empty(X.shape) for _ in range(5)))
 
 
 def _mlp(model: TsaModel, X: np.ndarray, work: Workspace | None = None) -> np.ndarray:
@@ -225,54 +228,38 @@ def triplet_loss(f_ts: AffinityMatrix | np.ndarray, triplets: list[Triplet]) -> 
 # Differentiable chain: X -> Z -> cosine kernel -> row PDFs -> mix -> KL hinge
 # ---------------------------------------------------------------------------
 
-def _forward_chain(
-    model: TsaModel,
-    X: np.ndarray,
-    band: csr_matrix,
-    config: RunConfig,
-    work: Workspace | None = None,
-) -> dict:
-    """Run the per-frame part of the chain, caching what the row functions and backward need.
+def _forward_chain(model: TsaModel, work: Workspace, config: RunConfig) -> None:
+    """Run the per-frame part of the chain at the current parameters into ``work``.
 
-    Only N x d and length-N arrays and the temporal ``band`` (see
-    :func:`temporal_band`) are kept; rows of the N-wide matrices come
-    from :func:`_distribution_rows` for the frames that need them. The
-    N x d arrays live in ``work`` (fresh buffers when it is None), which
-    the cache keeps for the epoch head and the backward pass; a later
-    call with the same workspace overwrites this cache's arrays.
+    Only N x d and length-N arrays are written; rows of the N-wide
+    matrices come from :func:`_distribution_rows` for the frames that
+    need them.
     """
-    if work is None:
-        work = Workspace.allocate(*X.shape)
-    Z = _mlp(model, X, work)
+    Z = _mlp(model, work.X, work)
     # np.linalg.norm(Z, axis=1), with its squares kept in work.tmp
     norms = np.sqrt(np.add.reduce(np.multiply(Z, Z, out=work.tmp), axis=1))
     if np.any(norms == 0):
         i = int(np.argwhere(norms == 0)[0][0])
         raise ZeroNormRowError(f"learned row {i} collapsed to zero norm")
-    return {
-        "band": band,
-        "work": work,
-        "X": X,
-        "norms": norms,
-        "U": np.divide(Z, norms[:, None], out=Z),
-        "alpha": _alpha(model, config),
-    }
+    work.norms = norms
+    work.U = np.divide(Z, norms[:, None], out=Z)
+    work.alpha = _alpha(model, config)
 
 
-def _distribution_rows(cache: dict, index: np.ndarray, config: RunConfig) -> dict:
+def _distribution_rows(work: Workspace, index: np.ndarray, config: RunConfig) -> dict:
     """Rows ``index`` of the similarity, kernel and distribution matrices.
 
     Every matrix entry is len(index) x N: S (cosine), K (kernel), FS
     (semantic PDF), ft (temporal PDF) and F (the smoothed mix the loss and
     selection read), plus the row sums sk and su and the rows' alpha.
     """
-    U = cache["U"]
+    U = work.U
     S = U[index] @ U.T
     K = np.exp((S - 1.0) / config.h)
     sk = K.sum(axis=1)
     FS = K / sk[:, None]
-    ft = band_rows(cache["band"], index)
-    alpha = cache["alpha"][index]
+    ft = band_rows(work.band, index)
+    alpha = work.alpha[index]
     mixed = alpha[:, None] * ft + (1.0 - alpha[:, None]) * FS
     smoothed = mixed + KL_SMOOTHING
     su = smoothed.sum(axis=1)
@@ -280,40 +267,41 @@ def _distribution_rows(cache: dict, index: np.ndarray, config: RunConfig) -> dic
     return {"S": S, "K": K, "sk": sk, "FS": FS, "ft": ft, "alpha": alpha, "su": su, "F": F}
 
 
-def _diagonal(cache: dict, config: RunConfig) -> np.ndarray:
+def _diagonal(work: Workspace, config: RunConfig) -> np.ndarray:
     """diag(F) without building a row of F.
 
     F_ii = (alpha_i ft_ii + (1 - alpha_i) K_ii / sk_i + eps) / (1 + N eps),
     since every smoothed row sums to 1 + N eps. Only the kernel row sums
-    sk need whole rows of K, built ROW_BLOCK rows at a time in the
-    workspace's kernel block.
+    sk need whole rows of K, built ROW_BLOCK rows at a time in one
+    reused block, so no N x N array is held.
     """
-    U, alpha = cache["U"], cache["alpha"]
+    U, alpha = work.U, work.alpha
     n = U.shape[0]
     sk, k_ii = np.empty(n), np.empty(n)
+    block = np.empty((min(ROW_BLOCK, n), n))
     for start in range(0, n, ROW_BLOCK):
         stop = min(start + ROW_BLOCK, n)
-        K = np.matmul(U[start:stop], U.T, out=cache["work"].kernel[: stop - start])
+        K = np.matmul(U[start:stop], U.T, out=block[: stop - start])
         K -= 1.0
         K /= config.h
         np.exp(K, out=K)
         K.sum(axis=1, out=sk[start:stop])
         k_ii[start:stop] = K[np.arange(stop - start), np.arange(start, stop)]
-    mixed = alpha * cache["band"].diagonal() + (1.0 - alpha) * (k_ii / sk)
+    mixed = alpha * work.band.diagonal() + (1.0 - alpha) * (k_ii / sk)
     return (mixed + KL_SMOOTHING) / (1.0 + n * KL_SMOOTHING)
 
 
 def _select_epoch_triplets(
-    cache: dict, config: RunConfig, rng: np.random.Generator
+    work: Workspace, config: RunConfig, rng: np.random.Generator
 ) -> list[Triplet]:
     """Pool anchors on diag(F), then draw triplets from the anchors' rows of F."""
-    pool = pool_anchors(_diagonal(cache, config), config.batch_size, rng, config.pool_mode)
+    pool = pool_anchors(_diagonal(work, config), config.batch_size, rng, config.pool_mode)
     children = rng.spawn(len(pool))
     triplets: list[Triplet] = []
     for start in range(0, pool.indices.size, ROW_BLOCK):
         anchors = pool.indices[start : start + ROW_BLOCK]
         triplets += select_triplets(
-            _distribution_rows(cache, anchors, config)["F"],
+            _distribution_rows(work, anchors, config)["F"],
             anchors,
             children[start : start + anchors.size],
             config.per_anchor,
@@ -323,7 +311,7 @@ def _select_epoch_triplets(
 
 
 def _loss_and_gradients(
-    model: TsaModel, cache: dict, triplets: list[Triplet], config: RunConfig
+    model: TsaModel, work: Workspace, triplets: list[Triplet], config: RunConfig
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Hinge loss plus analytic gradients for every parameter block.
 
@@ -337,7 +325,7 @@ def _loss_and_gradients(
     frames = np.array([(t.anchor, t.positive, t.negative) for t in triplets]).T.ravel()
     index, local = np.unique(frames, return_inverse=True)
     ai, pi, ni = local.reshape(3, n_t)
-    rows = _distribution_rows(cache, index, config)
+    rows = _distribution_rows(work, index, config)
     da_raw = np.zeros_like(model.a_raw)
 
     if config.loss_features == "pdf":
@@ -365,7 +353,7 @@ def _loss_and_gradients(
         np.add.at(dS, (ai, q), coeff)
         np.add.at(dS, (ai, p), -coeff)
 
-    grads = _similarity_to_params(model, cache, index, dS)
+    grads = _similarity_to_params(model, work, index, dS)
     grads["a_raw"] = da_raw
     if not math.isfinite(loss) or not all(np.all(np.isfinite(g)) for g in grads.values()):
         raise DivergenceError("non-finite loss or gradient")
@@ -395,15 +383,15 @@ def _pdf_chain_to_similarity(
 
 
 def _similarity_to_params(
-    model: TsaModel, cache: dict, index: np.ndarray, dS: np.ndarray
+    model: TsaModel, work: Workspace, index: np.ndarray, dS: np.ndarray
 ) -> dict[str, np.ndarray]:
     """Backpropagate dL/dS through cosine normalization and the MLP.
 
     ``dS`` holds the non-zero rows ``index`` of the N x N gradient, so
     (dS + dS^T) @ U splits into one product per side. The N x d
-    intermediates are written into the cache's workspace.
+    intermediates are written into the workspace.
     """
-    U, norms, work = cache["U"], cache["norms"], cache["work"]
+    U, norms = work.U, work.norms
     dU = np.matmul(dS.T, U[index], out=work.dU)
     dU[index] += dS @ U
     # dZ = (dU - rowsum(dU * U) * U) / norms, in place in dU
@@ -413,7 +401,7 @@ def _similarity_to_params(
     grads = {"W2": d.T @ work.hid, "b2": d.sum(axis=0)}
     d_pre = np.matmul(d, model.W2, out=work.tmp)
     d_pre *= work.pre > 0
-    grads["W1"] = d_pre.T @ cache["X"]
+    grads["W1"] = d_pre.T @ work.X
     grads["b1"] = d_pre.sum(axis=0)
     return grads
 
@@ -481,8 +469,9 @@ def backward(
     values = as_values(X)
     _check_frames(model, values.shape[0], triplets)
     band = temporal_band(frame_positions(values.shape[0], positions), TemporalKernel(config.L))
-    cache = _forward_chain(model, values, band, config)
-    return _loss_and_gradients(model, cache, triplets, config)[1]
+    work = Workspace.allocate(values, band)
+    _forward_chain(model, work, config)
+    return _loss_and_gradients(model, work, triplets, config)[1]
 
 
 # The published training schedule, the same for every dataset.
@@ -539,29 +528,24 @@ def train(
     master = np.random.default_rng(config.seed)
     model = init_model(n_dims, n_frames, master, scheme="identity", X=values)
     band = temporal_band(frame_positions(n_frames, positions), TemporalKernel(config.L))
-    work = Workspace.allocate(n_frames, n_dims)
+    work = Workspace.allocate(values, band)
     state = TrainState()
-    snapshot = model.copy()
     still_epochs = 0
     for epoch in range(1, config.max_epochs + 1):
         lr = config.learning_rate * LR_DECAY ** (epoch - 1)
         shrink = 1.0 - lr * 2.0 * WEIGHT_DECAY
-        try:
-            cache = _forward_chain(model, values, band, config, work)
-        except ZeroNormRowError:
-            state.diverged = True
-            break
-        triplets = _select_epoch_triplets(cache, config, master)
-        if triplet_sink is not None:
-            triplet_sink(epoch, triplets)
         snapshot = model.copy()
         batch_losses = []
         try:
+            _forward_chain(model, work, config)
+            triplets = _select_epoch_triplets(work, config, master)
+            if triplet_sink is not None:
+                triplet_sink(epoch, triplets)
             for start in range(0, len(triplets), config.per_anchor):
-                batch = triplets[start : start + config.per_anchor]
                 if start > 0:
-                    cache = _forward_chain(model, values, band, config, work)
-                loss, grads = _loss_and_gradients(model, cache, batch, config)
+                    _forward_chain(model, work, config)
+                batch = triplets[start : start + config.per_anchor]
+                loss, grads = _loss_and_gradients(model, work, batch, config)
                 for name, param in model.param_items():
                     param *= shrink
                     param -= lr * grads[name]

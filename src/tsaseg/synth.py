@@ -8,6 +8,7 @@ than classes, so a purely temporal model cannot trivially win.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +37,10 @@ class SynthSpec:
             raise ValueError("dims must be positive")
         if not 1 <= self.n_action_classes <= self.n_segments:
             raise ValueError("n_action_classes must lie in [1, n_segments]")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
-        if self.center_separation < 0:
-            raise ValueError("center_separation must be non-negative")
+        for name in ("noise_sigma", "center_separation"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 def _draw_centers(

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from tsaseg.cli import main, render_segmentation_svg
-from tsaseg.data_io import LabelSequence, load_features, load_labels, make_config, save_labels
+from tsaseg.data_io import (
+    LabelSequence, load_features, load_labels, make_config, save_features, save_labels,
+)
 from tsaseg.model import train
+from tsaseg.synth import SynthSpec, generate
 
 
 @pytest.fixture
@@ -46,6 +49,26 @@ class TestSynthCommand:
         assert code == 1
         assert f"TSA_SEED: seed {value!r} is not an integer in [0, 2**64)" in capsys.readouterr().err
         assert not (tmp_path / "f.txt").exists()
+
+
+    @pytest.mark.parametrize("flag, field", [("--noise", "noise_sigma"),
+                                             ("--separation", "center_separation")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_spread_exits_one_naming_the_field(self, tmp_path, capsys, flag, field, value):
+        code = main(["synth", "--out-features", str(tmp_path / "f.txt"),
+                     "--out-labels", str(tmp_path / "l.txt"), flag, value])
+        assert code == 1
+        assert f"{field} must be finite and non-negative, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "f.txt").exists()
+
+    def test_defaults_are_the_spec_defaults(self, tmp_path):
+        assert main(["synth", "--out-features", str(tmp_path / "f.txt"),
+                     "--out-labels", str(tmp_path / "l.txt")]) == 0
+        features, gt = generate(SynthSpec())
+        save_features(features, tmp_path / "want_f.txt", "text")
+        save_labels(gt, tmp_path / "want_l.txt")
+        for name in ("f.txt", "l.txt"):
+            assert (tmp_path / name).read_bytes() == (tmp_path / f"want_{name}").read_bytes()
 
 
 class TestTrainCommand:
@@ -191,6 +214,19 @@ class TestTrainCommand:
             assert 1 <= epoch <= 2
             assert len({a, p, n}) == 3
             assert all(0 <= v < n_frames for v in (a, p, n))
+
+    def test_mid_epoch_divergence_logs_the_abort(self, tmp_path):
+        features, log, z = tmp_path / "f.txt", tmp_path / "train.log", tmp_path / "z.bin"
+        assert main(["synth", "--out-features", str(features),
+                     "--out-labels", str(tmp_path / "l.txt"), "--seed", "0"]) == 0
+        with np.errstate(all="ignore"):
+            code = main(["train", "--features", str(features), "--out-z", str(z),
+                         "--log", str(log), "--learning-rate", "1e200", "--batch-size", "8"])
+        assert code == 0
+        lines = log.read_text().splitlines()
+        assert lines[-1] == "# aborted: training diverged; kept last finite parameters"
+        assert not any(line.startswith("epoch ") for line in lines)
+        assert np.all(np.isfinite(load_features(z).values))
 
     def test_unknown_flag_exits_one(self, video_files, tmp_path, capsys):
         features, _ = video_files
@@ -343,3 +379,53 @@ class TestPlotCommand:
         gt_fills = [r.get("fill") for r in root.find("svg:g[@id='bar-gt']", ns)]
         pred_fills = [r.get("fill") for r in root.find("svg:g[@id='bar-1']", ns)]
         assert gt_fills == pred_fills
+
+
+class TestAliasedOutputs:
+    """An output path naming an input or another output exits 1 before any work."""
+
+    def assert_refused(self, argv, flags, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in flags), err
+
+    def test_synth_outputs_alike(self, tmp_path, capsys):
+        path = tmp_path / "a"
+        self.assert_refused(["synth", "--out-features", str(path), "--out-labels", str(path)],
+                            ["--out-labels", "--out-features"], capsys)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("flag", ["--out-z", "--log"])
+    def test_train_output_names_features(self, video_files, tmp_path, capsys, flag):
+        features, _ = video_files
+        before = features.read_bytes()
+        outputs = {"--out-z": str(tmp_path / "z.bin")}
+        outputs[flag] = str(tmp_path / ".." / tmp_path.name / features.name)  # another spelling
+        argv = ["train", "--features", str(features)] + [a for kv in outputs.items() for a in kv]
+        self.assert_refused(argv, [flag, "--features"], capsys)
+        assert features.read_bytes() == before
+
+    def test_segment_output_names_z(self, tmp_path, capsys):
+        z = tmp_path / "z.bin"
+        assert main(["synth", "--out-features", str(z), "--out-labels", str(tmp_path / "l"),
+                     "--format", "binary"]) == 0
+        before = z.read_bytes()
+        self.assert_refused(["segment", "--z", str(z), "--method", "equal", "--k", "2",
+                             "--out-labels", str(z)], ["--out-labels", "--z"], capsys)
+        assert z.read_bytes() == before
+
+    def test_eval_output_names_pred(self, video_files, capsys):
+        _, labels = video_files
+        before = labels.read_bytes()
+        self.assert_refused(["eval", "--pred", str(labels), "--gt", str(labels),
+                             "--out", str(labels)], ["--out", "--pred"], capsys)
+        assert labels.read_bytes() == before
+
+    def test_plot_output_links_to_gt(self, tmp_path, capsys):
+        gt = tmp_path / "gt.txt"
+        save_labels(np.array([0, 0, 1]), gt)
+        before = gt.read_bytes()
+        link = tmp_path / "bars.svg"
+        link.symlink_to(gt)
+        self.assert_refused(["plot", "--gt", str(gt), "--out", str(link)], ["--out", "--gt"], capsys)
+        assert gt.read_bytes() == before

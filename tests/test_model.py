@@ -355,6 +355,22 @@ class TestTrain:
         assert state.epoch == 0
         assert all(np.all(np.isfinite(param)) for _, param in model.param_items())
 
+    def test_mid_epoch_divergence_rolls_back_to_epoch_start(self):
+        # the first two steps of epoch 1 stay finite, the third overflows
+        feats, _ = generate(SynthSpec(seed=0))
+        cfg = RunConfig(learning_rate=1e200, batch_size=8)
+        sunk = []
+        with np.errstate(all="ignore"):
+            model, z, state = train(feats, cfg, triplet_sink=lambda e, trips: sunk.append(e))
+        assert sunk == [1]  # the epoch head ran; the steps diverged
+        assert state.diverged
+        assert state.epoch == 0
+        assert np.all(np.isfinite(z.values))
+        start = init_model(feats.n_dims, feats.n_frames, np.random.default_rng(cfg.seed),
+                           scheme="identity", X=feats.values)
+        for (_, got), (_, want) in zip(model.param_items(), start.param_items()):
+            assert got.tobytes() == want.tobytes()
+
     def test_training_progress_monte_carlo(self):
         # Monte-Carlo oracle over 10 seeds on a noisy 4-class video:
         # across-seed mean epoch loss must drop, and a majority of seeds

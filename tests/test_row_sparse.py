@@ -65,9 +65,12 @@ def random_instance(rng, n, d, positions_gapped, **config_kw):
     return model, X, config, positions
 
 
-def band(n, positions, config):
-    """The temporal band the training engine builds once per video."""
-    return temporal_band(frame_positions(n, positions), TemporalKernel(config.L))
+def chain(model, X, positions, config):
+    """A workspace built as the training engine builds it, holding the chain at ``model``."""
+    band = temporal_band(frame_positions(X.shape[0], positions), TemporalKernel(config.L))
+    work = Workspace.allocate(X, band)
+    _forward_chain(model, work, config)
+    return work
 
 
 def hinge_gaps(F, triplets, raw):
@@ -119,8 +122,8 @@ class TestGradientOracle:
         assume(triplets)
 
         want_loss, want = dense_oracle._loss_and_gradients(model, dense_cache, triplets, config)
-        cache = _forward_chain(model, X, band(n, positions, config), config)
-        loss, got = _loss_and_gradients(model, cache, triplets, config)
+        work = chain(model, X, positions, config)
+        loss, got = _loss_and_gradients(model, work, triplets, config)
 
         # The loss is a mean of differences of KL divergences between rows
         # that sum to 1, so roundoff in the rows enters it on a scale of 1.
@@ -146,10 +149,10 @@ class TestEpochHead:
                     rng, n, 6, gapped, similarity_mode=mode
                 )
                 dense = combined_distribution(model, X, config, positions).rows
-                cache = _forward_chain(model, X, band(n, positions, config), config)
-                assert np.allclose(_diagonal(cache, config), np.diag(dense), rtol=1e-12, atol=0)
+                work = chain(model, X, positions, config)
+                assert np.allclose(_diagonal(work, config), np.diag(dense), rtol=1e-12, atol=0)
                 anchors = np.sort(rng.choice(n, size=20, replace=False))
-                rows = _distribution_rows(cache, anchors, config)["F"]
+                rows = _distribution_rows(work, anchors, config)["F"]
                 assert np.allclose(rows, dense[anchors], rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("mode", MODES)
@@ -164,10 +167,10 @@ class TestEpochHead:
         positions = np.sort(rng.choice(3 * n, size=n, replace=False)) / 2.0
         assert np.any(np.abs(positions[:, None] - positions[None, :]) == L / 2)
         dense = combined_distribution(model, X, config, positions).rows
-        cache = _forward_chain(model, X, band(n, positions, config), config)
-        assert np.allclose(_diagonal(cache, config), np.diag(dense), rtol=1e-12, atol=0)
+        work = chain(model, X, positions, config)
+        assert np.allclose(_diagonal(work, config), np.diag(dense), rtol=1e-12, atol=0)
         anchors = np.sort(rng.choice(n, size=30, replace=False))
-        rows = _distribution_rows(cache, anchors, config)["F"]
+        rows = _distribution_rows(work, anchors, config)["F"]
         assert np.allclose(rows, dense[anchors], rtol=1e-12, atol=0)
 
     def test_epoch_selection_equals_dense_selection(self):
@@ -175,8 +178,8 @@ class TestEpochHead:
         n = ROW_BLOCK + 50
         model, X, config, positions = random_instance(rng, n, 5, True, per_anchor=3)
         config = replace(config, batch_size=1)  # every frame is an anchor: two blocks
-        cache = _forward_chain(model, X, band(n, positions, config), config)
-        got = _select_epoch_triplets(cache, config, np.random.default_rng(21))
+        work = chain(model, X, positions, config)
+        got = _select_epoch_triplets(work, config, np.random.default_rng(21))
         dense = combined_distribution(model, X, config, positions)
         want_rng = np.random.default_rng(21)
         pool = stochastic_pool(dense, config.batch_size, want_rng, config.pool_mode)
@@ -311,20 +314,19 @@ class TestWorkspace:
         X = np.ascontiguousarray(feats.values[:n])
         config = DATASET_PRESETS["breakfast"]
         model = init_model(d, n, np.random.default_rng(0), scheme="random")
-        work = Workspace.allocate(n, d)
-        cache = _forward_chain(model, X, band(n, None, config), config, work)
-        triplets = _select_epoch_triplets(cache, config, np.random.default_rng(1))
+        work = chain(model, X, None, config)
+        triplets = _select_epoch_triplets(work, config, np.random.default_rng(1))
         triplets = triplets[: config.per_anchor]  # one training step's batch
         tracemalloc.start()
         try:
-            cache = _forward_chain(model, X, cache["band"], config, work)
-            _, grads = _loss_and_gradients(model, cache, triplets, config)
+            _forward_chain(model, work, config)
+            _, grads = _loss_and_gradients(model, work, triplets, config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # the allocating step made about ten n x d float64 temporaries
         assert peak < n * d * 8
-        assert cache["U"] is work.Z
+        assert work.U is work.Z  # normalised in place
         # the same bytes as a step on fresh buffers
         fresh = backward(model, X, triplets, config)
         assert all(grads[name].tobytes() == g.tobytes() for name, g in fresh.items())

@@ -90,3 +90,9 @@ class TestGenerate:
             SynthSpec(frames_per_segment=(5, 2))
         with pytest.raises(ValueError):
             SynthSpec(noise_sigma=-0.1)
+
+    @pytest.mark.parametrize("name", ["noise_sigma", "center_separation"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_spread_rejected_naming_the_field(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and non-negative"):
+            SynthSpec(**{name: value})
