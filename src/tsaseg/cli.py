@@ -22,6 +22,7 @@ import numpy as np
 from .cluster import Segmentation
 from .data_io import (
     DataFormatError,
+    LabelSequence,
     RunConfig,
     config_lines,
     load_config,
@@ -69,10 +70,9 @@ def _resolve_seed(value, source: str = "--seed") -> int:
     raise ValueError(f"{source}: seed {value!r} is not an integer in [0, 2**64)")
 
 
-def _echo(lines, stream=None) -> None:
-    stream = stream or sys.stderr
+def _echo(lines) -> None:
     for line in lines:
-        print(f"# {line}", file=stream)
+        print(f"# {line}", file=sys.stderr)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -102,7 +102,7 @@ def build_parser() -> _Parser:
     p.add_argument("--features", required=True)
     p.add_argument("--out-z", required=True)
     p.add_argument("--config", default=None, help="key = value file with RunConfig fields")
-    p.add_argument("--out-model", default=None, help="write parameters as .npz")
+    p.add_argument("--out-model", default=None, help="write parameters in .npz format")
     p.add_argument("--log", default=None, help="training log path (default: stderr)")
     p.add_argument("--dump-triplets", default=None, help="write selected triplets as text")
     _add_config_flags(p)
@@ -148,8 +148,6 @@ def _file_paths(args, dests):
         values = getattr(args, dest)
         paths = [v.partition("=")[2] for v in values] if isinstance(values, list) else [values]
         for path in filter(None, paths):
-            if dest == "out_model" and not path.endswith(".npz"):
-                path += ".npz"  # np.savez appends the suffix
             yield f"--{dest.replace('_', '-')}", path
 
 
@@ -215,8 +213,8 @@ def cmd_train(args) -> int:
         log_lines.append("# aborted: training diverged; kept last finite parameters")
     save_features(z, args.out_z, "binary")
     if args.out_model:
-        arrays = {name: param for name, param in model.param_items()}
-        np.savez(args.out_model, **arrays)
+        with open(args.out_model, "wb") as out:  # np.savez appends ".npz" to a path name
+            np.savez(out, **dict(model.param_items()))
     if args.dump_triplets:
         header = "epoch anchor positive negative"
         Path(args.dump_triplets).write_text(
@@ -287,15 +285,14 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def render_segmentation_svg(gt, preds) -> str:
+def render_segmentation_svg(gt: LabelSequence, preds) -> str:
     """One horizontal bar per sequence (ground truth first).
 
     Prediction bars are recolored through the Hungarian mapping against
     the ground truth so that matching actions share a color; unmatched
     predicted labels fall back to a dark fill.
     """
-    gt_labels = gt.labels if hasattr(gt, "labels") else np.asarray(gt, dtype=np.int64)
-    names = list(getattr(gt, "names", [])) or [str(v) for v in np.unique(gt_labels)]
+    gt_labels, names = gt.labels, gt.names
     n = gt_labels.size
     width, bar_h, gap, margin_left, margin_top = 900, 26, 12, 110, 16
     legend_h = 26 + 18 * ((len(names) + 3) // 4)

@@ -2,11 +2,11 @@
 
 The learnable map is the one-hidden-layer MLP z = W2 relu(W1 x + b1) + b2,
 both layers as wide as the input, plus a per-frame mixing vector alpha
-stored in unconstrained form (``a_raw``, alpha = logistic(a_raw)). Every
-row of the distribution the loss reads is the mix alpha*f_t +
-(1 - alpha)*f_s of the temporal and semantic rows; ``similarity_mode``
-only fixes alpha: learned for ``combined``, 0 for ``semantic_only`` and 1
-for ``temporal_only``.
+stored in unconstrained form (``a_raw``, alpha = expit(a_raw), the
+logistic function). Every row of the distribution the loss reads is the
+mix alpha*f_t + (1 - alpha)*f_s of the temporal and semantic rows;
+``similarity_mode`` only fixes alpha: learned for ``combined``, 0 for
+``semantic_only`` and 1 for ``temporal_only``.
 
 Each training epoch selects its triplets from the combined distribution
 at the *current* learned features (selection is detached from
@@ -46,6 +46,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.special import expit
 
 from .data_io import FeatureMatrix, RunConfig, as_values
 from .similarity import (
@@ -70,15 +71,6 @@ class DivergenceError(ArithmeticError):
     """A loss or gradient stopped being finite."""
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 @dataclass
 class TsaModel:
     """The MLP z = W2 relu(W1 x + b1) + b2 plus the per-frame mixing parameters."""
@@ -92,7 +84,7 @@ class TsaModel:
     @property
     def alpha(self) -> np.ndarray:
         """Per-frame mixing weights in (0, 1)."""
-        return _sigmoid(self.a_raw)
+        return expit(self.a_raw)
 
     @property
     def biases(self) -> tuple[np.ndarray, np.ndarray]:
@@ -145,8 +137,9 @@ class Workspace:
     """One video's training context: its features, its temporal band and the chain's buffers.
 
     ``X`` and ``band`` (see :func:`temporal_band`) are fixed per video.
-    The N x d buffers are allocated once: ``pre`` and ``hid`` hold the
-    hidden layer's pre-activation and output, ``Z`` the learned rows,
+    The N x d buffers are allocated once: ``hid`` holds the hidden
+    layer's pre-activation, rectified in place to its output (the
+    backward mask reads ``hid > 0``), ``Z`` the learned rows,
     normalised in place to ``U``. ``dU`` holds dL/dU, turned in place
     into dL/dZ. ``tmp`` holds the squared rows for the norms, then
     dU * U and rowdot * U, then the error sent back through W2 to the
@@ -157,7 +150,6 @@ class Workspace:
 
     X: np.ndarray
     band: csr_matrix
-    pre: np.ndarray
     hid: np.ndarray
     Z: np.ndarray
     dU: np.ndarray
@@ -168,15 +160,15 @@ class Workspace:
 
     @classmethod
     def allocate(cls, X: np.ndarray, band: csr_matrix) -> "Workspace":
-        return cls(X, band, *(np.empty(X.shape) for _ in range(5)))
+        return cls(X, band, *(np.empty(X.shape) for _ in range(4)))
 
 
 def _mlp(model: TsaModel, X: np.ndarray, work: Workspace | None = None) -> np.ndarray:
     """Z = W2 relu(W1 X + b1) + b2, in ``work``'s buffers when given, else in fresh arrays."""
-    pre, hid, Z = (None, None, None) if work is None else (work.pre, work.hid, work.Z)
-    pre = np.matmul(X, model.W1.T, out=pre)
-    pre += model.b1
-    hid = np.maximum(pre, 0.0, out=hid)
+    hid, Z = (None, None) if work is None else (work.hid, work.Z)
+    hid = np.matmul(X, model.W1.T, out=hid)
+    hid += model.b1
+    np.maximum(hid, 0.0, out=hid)
     Z = np.matmul(hid, model.W2.T, out=Z)
     Z += model.b2
     return Z
@@ -400,7 +392,7 @@ def _similarity_to_params(
     d = np.divide(dU, norms[:, None], out=dU)
     grads = {"W2": d.T @ work.hid, "b2": d.sum(axis=0)}
     d_pre = np.matmul(d, model.W2, out=work.tmp)
-    d_pre *= work.pre > 0
+    d_pre *= work.hid > 0  # relu(p) > 0 exactly where p > 0
     grads["W1"] = d_pre.T @ work.X
     grads["b1"] = d_pre.sum(axis=0)
     return grads
@@ -530,7 +522,6 @@ def train(
     band = temporal_band(frame_positions(n_frames, positions), TemporalKernel(config.L))
     work = Workspace.allocate(values, band)
     state = TrainState()
-    still_epochs = 0
     for epoch in range(1, config.max_epochs + 1):
         lr = config.learning_rate * LR_DECAY ** (epoch - 1)
         shrink = 1.0 - lr * 2.0 * WEIGHT_DECAY
@@ -559,13 +550,8 @@ def train(
         state.loss_history.append(epoch_loss)
         if on_epoch is not None:
             on_epoch(epoch, epoch_loss, lr)
-        if len(state.loss_history) >= 2 and (
-            abs(state.loss_history[-1] - state.loss_history[-2]) < config.epsilon_stop
-        ):
-            still_epochs += 1
-        else:
-            still_epochs = 0
-        if still_epochs >= PATIENCE:
+        deltas = np.abs(np.diff(state.loss_history[-PATIENCE - 1 :]))
+        if deltas.size == PATIENCE and np.all(deltas < config.epsilon_stop):
             break
     final = forward(model, values)
     return model, FeatureMatrix(final), state

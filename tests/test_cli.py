@@ -144,6 +144,16 @@ class TestTrainCommand:
                 assert saved[name].shape == param.shape
                 assert saved[name].tobytes() == param.tobytes()
 
+    def test_out_model_writes_exactly_the_given_path(self, video_files, tmp_path):
+        features, _ = video_files
+        out = tmp_path / "params"
+        assert main(["train", "--features", str(features), "--out-z", str(tmp_path / "z.bin"),
+                     "--out-model", str(out), "--seed", "4", "--max-epochs", "1"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gt.txt", "params", "video.txt",
+                                                              "z.bin"]
+        with np.load(out) as saved:
+            assert saved.files == ["W1", "b1", "W2", "b2", "a_raw"]
+
     @pytest.mark.parametrize(
         "flag, value, message",
         [

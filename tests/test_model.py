@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import tsaseg.model as model_module
 from tsaseg.data_io import FeatureMatrix, RunConfig
 from tsaseg.model import (
     LR_DECAY,
@@ -123,6 +125,14 @@ class TestForward:
         for w in (model.W1, model.W2):
             assert np.all(np.abs(w) <= bound)
         assert np.all(model.alpha == 0.5)
+
+    def test_alpha_saturates_exactly_without_overflow(self, rng):
+        model = init_model(3, 2, rng, scheme="random")
+        model.a_raw[:] = [800.0, -800.0]
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            alpha = model.alpha
+        assert alpha.tolist() == [1.0, 0.0]
 
 
 class TestKlDivergence:
@@ -310,6 +320,26 @@ class TestTrain:
         assert state.epoch == PATIENCE + 1
         # weight decay drifts the identity map slightly; structure preserved
         assert np.allclose(z.values, X.values, atol=0.05)
+
+    def test_stop_rule_needs_patience_sub_epsilon_deltas_in_a_row(self, monkeypatch):
+        # one triplet per epoch and scripted losses with zero gradients:
+        # the deltas are 0, 4, 0, 0, so the sub-epsilon count resets at
+        # epoch 3 and reaches PATIENCE = 2 at epoch 5, not at epoch 4
+        assert PATIENCE == 2
+        losses = iter([1.0, 1.0, 5.0, 5.0, 5.0, 5.0])
+        monkeypatch.setattr(model_module, "_select_epoch_triplets",
+                            lambda work, config, rng: [Triplet(0, 1, 2)])
+        monkeypatch.setattr(
+            model_module, "_loss_and_gradients",
+            lambda model, work, batch, config: (
+                next(losses), {name: np.zeros_like(p) for name, p in model.param_items()}
+            ),
+        )
+        feats, _ = self._video()
+        cfg = RunConfig(batch_size=16, seed=0, max_epochs=6, epsilon_stop=0.5)
+        _, _, state = train(feats, cfg)
+        assert state.loss_history == [1.0, 1.0, 5.0, 5.0, 5.0]
+        assert state.epoch == 5
 
     def test_determinism_bit_identical(self):
         feats, _ = self._video(seed=3)

@@ -9,7 +9,7 @@ Python selection rules copied below.
 
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -305,6 +305,14 @@ class TestMemoryScaling:
 
 
 class TestWorkspace:
+    def test_allocate_holds_four_feature_sized_buffers(self):
+        X = np.ones((7, 3))
+        work = Workspace.allocate(X, temporal_band(frame_positions(7, None), TemporalKernel(3)))
+        buffers = [f.name for f in fields(work)
+                   if f.name != "X" and getattr(work, f.name) is not None
+                   and getattr(work, f.name).shape == X.shape]
+        assert buffers == ["hid", "Z", "dU", "tmp"]
+
     def test_step_in_a_built_workspace_allocates_less_than_one_feature_matrix(self):
         n, d = 1500, 64
         feats, _ = generate(
