@@ -1,9 +1,9 @@
 """Command-line pipeline: synth, train, segment, eval, plot.
 
 Every run echoes its fully resolved configuration (defaults included)
-to stderr as ``# key = value`` lines. An output path that names one of
-the run's inputs or another of its outputs is refused before any work,
-so no verb overwrites what it reads. Exit codes: 0 success, 1 user or
+to stderr as ``# key = value`` lines. An output path that names a
+directory, one of the run's inputs or another of its outputs is refused
+before any work, so no verb overwrites what it reads. Exit codes: 0 success, 1 user or
 data error, 2 internal invariant failure. The environment variable
 ``TSA_SEED`` acts as seed fallback when no flag or config supplies one.
 """
@@ -152,13 +152,15 @@ def _file_paths(args, dests):
 
 
 def _refuse_aliased_outputs(args) -> None:
-    """Raise UsageError when an output resolves to an input or an earlier output of the run."""
+    """Raise UsageError when an output is a directory, an input or an earlier output of the run."""
     inputs, outputs = FILE_FLAGS[args.verb]
     owner = {}
     for flag, path in _file_paths(args, inputs):
         owner.setdefault(Path(path).resolve(), flag)
     for flag, path in _file_paths(args, outputs):
         key = Path(path).resolve()
+        if key.is_dir():
+            raise UsageError(f"{flag} {path} is a directory")
         if key in owner:
             raise UsageError(f"{flag} {path} names the same file as {owner[key]}")
         owner[key] = flag

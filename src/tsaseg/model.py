@@ -24,16 +24,16 @@ N-wide similarity, kernel and distribution matrices are built only for
 the frames that read them. The temporal PDF does not depend on the
 parameters: it is built once per video as a band of O(N L) entries, and
 its rows are gathered from it. Pooling reads diag(F), which needs no row
-of F, only the kernel row sums, built ROW_BLOCK rows at a time;
-selection reads the pooled anchors' rows; a gradient step reads the rows
-of its triplets' frames, outside which dL/dF and dL/dS vanish.
+of F, only the kernel row sums; the kernel is symmetric, so the epoch
+head builds each pair once, ROW_BLOCK rows at a time. Selection reads
+the pooled anchors' rows; a gradient step reads the rows of its
+triplets' frames, outside which dL/dF and dL/dS vanish.
 
 A :class:`Workspace` is one video's training context: its features, its
-temporal band and the N x d buffers the chain writes in place, in the
-same order of operations as fresh arrays, so a step allocates no N x d
-array and the learned bytes do not change. :func:`train` allocates one
-per video, :func:`backward` one per call; :func:`forward` runs the MLP
-on fresh arrays.
+temporal band and the N x d buffers the chain writes in place, so a step
+allocates no N x d array. :func:`train` allocates one per video,
+:func:`backward` one per call, and both run the same step on it;
+:func:`forward` runs the MLP on fresh arrays.
 :func:`combined_distribution` and :func:`training_loss` build the dense
 matrices from the public operations and serve as the reference path in
 tests.
@@ -140,12 +140,11 @@ class Workspace:
     The N x d buffers are allocated once: ``hid`` holds the hidden
     layer's pre-activation, rectified in place to its output (the
     backward mask reads ``hid > 0``), ``Z`` the learned rows,
-    normalised in place to ``U``. ``dU`` holds dL/dU, turned in place
-    into dL/dZ. ``tmp`` holds the squared rows for the norms, then
-    dU * U and rowdot * U, then the error sent back through W2 to the
-    hidden layer's pre-activation. :func:`_forward_chain` sets ``U``,
-    ``norms`` and ``alpha`` at the current parameters; the next call
-    overwrites them.
+    normalised in place to ``U``. ``dU`` holds dL/dU divided by the row
+    norms, turned in place into dL/dZ. ``tmp`` holds rowdot * U, then
+    the error sent back through W2 to the hidden layer's
+    pre-activation. :func:`_forward_chain` sets ``U``, ``norms`` and
+    ``alpha`` at the current parameters; the next call overwrites them.
     """
 
     X: np.ndarray
@@ -228,8 +227,7 @@ def _forward_chain(model: TsaModel, work: Workspace, config: RunConfig) -> None:
     need them.
     """
     Z = _mlp(model, work.X, work)
-    # np.linalg.norm(Z, axis=1), with its squares kept in work.tmp
-    norms = np.sqrt(np.add.reduce(np.multiply(Z, Z, out=work.tmp), axis=1))
+    norms = np.sqrt(np.einsum("ij,ij->i", Z, Z))
     if np.any(norms == 0):
         i = int(np.argwhere(norms == 0)[0][0])
         raise ZeroNormRowError(f"learned row {i} collapsed to zero norm")
@@ -264,21 +262,28 @@ def _diagonal(work: Workspace, config: RunConfig) -> np.ndarray:
 
     F_ii = (alpha_i ft_ii + (1 - alpha_i) K_ii / sk_i + eps) / (1 + N eps),
     since every smoothed row sums to 1 + N eps. Only the kernel row sums
-    sk need whole rows of K, built ROW_BLOCK rows at a time in one
-    reused block, so no N x N array is held.
+    sk need whole rows of K. K = exp((U U^T - 1)/h) is symmetric, so each
+    pair is built once: ROW_BLOCK rows at a time, only the columns from
+    the block's first row on, in one reused flat buffer of at most
+    ROW_BLOCK x N entries. A block's row sums go to its own rows of sk,
+    its column sums right of the diagonal block to the later rows, and
+    K_ii is read from the diagonal block. No N x N array is held.
     """
     U, alpha = work.U, work.alpha
     n = U.shape[0]
-    sk, k_ii = np.empty(n), np.empty(n)
-    block = np.empty((min(ROW_BLOCK, n), n))
+    sk, k_ii = np.zeros(n), np.empty(n)
+    flat = np.empty(min(ROW_BLOCK, n) * n)
     for start in range(0, n, ROW_BLOCK):
         stop = min(start + ROW_BLOCK, n)
-        K = np.matmul(U[start:stop], U.T, out=block[: stop - start])
+        rows = stop - start
+        K = flat[: rows * (n - start)].reshape(rows, n - start)
+        np.matmul(U[start:stop], U[start:].T, out=K)
         K -= 1.0
         K /= config.h
         np.exp(K, out=K)
-        K.sum(axis=1, out=sk[start:stop])
-        k_ii[start:stop] = K[np.arange(stop - start), np.arange(start, stop)]
+        sk[start:stop] += K.sum(axis=1)
+        sk[stop:] += K[:, rows:].sum(axis=0)
+        k_ii[start:stop] = K[np.arange(rows), np.arange(rows)]
     mixed = alpha * work.band.diagonal() + (1.0 - alpha) * (k_ii / sk)
     return (mixed + KL_SMOOTHING) / (1.0 + n * KL_SMOOTHING)
 
@@ -384,12 +389,12 @@ def _similarity_to_params(
     intermediates are written into the workspace.
     """
     U, norms = work.U, work.norms
-    dU = np.matmul(dS.T, U[index], out=work.dU)
-    dU[index] += dS @ U
-    # dZ = (dU - rowsum(dU * U) * U) / norms, in place in dU
-    rowdot = np.multiply(dU, U, out=work.tmp).sum(axis=1, keepdims=True)
-    dU -= np.multiply(rowdot, U, out=work.tmp)
-    d = np.divide(dU, norms[:, None], out=dU)
+    # d = dU / norms, with 1/norms folded into dS's columns and rows
+    d = np.matmul((dS / norms).T, U[index], out=work.dU)
+    d[index] += (dS @ U) / norms[index, None]
+    # dZ = d - rowsum(d * U) * U, in place in d
+    rowdot = np.einsum("ij,ij->i", d, U)
+    d -= np.multiply(rowdot[:, None], U, out=work.tmp)
     grads = {"W2": d.T @ work.hid, "b2": d.sum(axis=0)}
     d_pre = np.matmul(d, model.W2, out=work.tmp)
     d_pre *= work.hid > 0  # relu(p) > 0 exactly where p > 0

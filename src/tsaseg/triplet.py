@@ -96,7 +96,15 @@ def positive_set(row: np.ndarray, anchor: int, fraction: float = 0.05) -> np.nda
     count = math.ceil(fraction * n)
     count = max(1, min(count, n - 2 if n > 2 else 1))
     others = np.delete(np.arange(n, dtype=np.int64), anchor)
-    order = np.lexsort((others, np.abs(others - anchor), -row[others]))
+    values = row[others]
+    if count < others.size:
+        # only entries >= the count-th largest can rank among the first
+        # count; the lexsort ranks NaN last, so the cut reads it as -inf
+        ranked = np.where(np.isnan(values), -np.inf, values)
+        cut = others.size - count
+        kept = ranked >= np.partition(ranked, cut)[cut]
+        others, values = others[kept], values[kept]
+    order = np.lexsort((others, np.abs(others - anchor), -values))
     return np.sort(others[order[:count]])
 
 
@@ -108,13 +116,17 @@ def negative_set(row: np.ndarray, anchor: int, exclude: np.ndarray | None = None
     the positive set so positives and negatives never overlap. If the
     band is empty the single frame closest to the mean is returned.
     """
-    others = np.delete(np.arange(row.shape[0], dtype=np.int64), anchor)
-    off_diag = row[others]
+    n = row.shape[0]
+    kept = np.ones(n, dtype=bool)
+    kept[anchor] = False
+    off_diag = row[kept]
     mean = off_diag.mean()
     std = off_diag.std()
     if exclude is not None:
-        kept = ~np.isin(others, np.asarray(exclude, dtype=np.int64))
-        others, off_diag = others[kept], off_diag[kept]
+        exclude = np.asarray(exclude, dtype=np.int64)
+        kept[exclude[(0 <= exclude) & (exclude < n)]] = False
+    others = np.flatnonzero(kept)
+    off_diag = row[others]
     if not others.size:
         raise ValueError("no negative candidates remain outside the positive set")
     band = others[(mean <= off_diag) & (off_diag <= mean + std)]

@@ -1,4 +1,4 @@
-"""Loop implementations of clustering and scoring helpers, kept as a test-only oracle.
+"""Loop and full-sort implementations of library helpers, kept as a test-only oracle.
 
 ``tsaseg.cluster`` now finds first neighbours in row blocks, takes the
 first-neighbor components from ``scipy.sparse.csgraph``, relabels and
@@ -13,9 +13,16 @@ unchanged apart from the scorers' input conversion and length check,
 ``kmeans``' input conversion, range check and return type, and
 ``_lloyd``'s stop on a repeated assignment (the same rule as the
 library's), so tests can require identical results.
+
+``tsaseg.triplet``'s ``positive_set`` sorts only the entries at or above
+the count-th largest, and ``negative_set`` drops the positives through a
+boolean mask. The full-row ``lexsort`` and ``np.isin`` versions they
+replaced are copied below unchanged.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -223,3 +230,44 @@ def kmeans(
         if wcss < best_wcss:
             best_labels, best_wcss = labels, wcss
     return best_labels
+
+
+def positive_set(row: np.ndarray, anchor: int, fraction: float = 0.05) -> np.ndarray:
+    """Indices of the ceil(fraction * N) highest-affinity frames in the anchor's row.
+
+    Ties break toward smaller temporal distance, then smaller index. The
+    anchor itself is excluded; the count is capped so at least one frame
+    stays available as a negative candidate.
+    """
+    if not 0 < fraction < 1:
+        raise ValueError("fraction must lie in (0, 1)")
+    n = row.shape[0]
+    count = math.ceil(fraction * n)
+    count = max(1, min(count, n - 2 if n > 2 else 1))
+    others = np.delete(np.arange(n, dtype=np.int64), anchor)
+    order = np.lexsort((others, np.abs(others - anchor), -row[others]))
+    return np.sort(others[order[:count]])
+
+
+def negative_set(row: np.ndarray, anchor: int, exclude: np.ndarray | None = None) -> np.ndarray:
+    """Indices whose affinity in the anchor's row lies in [mean, mean + std].
+
+    Statistics are taken over the row with the anchor's own entry
+    excluded (the self-affinity would inflate both). ``exclude`` removes
+    the positive set so positives and negatives never overlap. If the
+    band is empty the single frame closest to the mean is returned.
+    """
+    others = np.delete(np.arange(row.shape[0], dtype=np.int64), anchor)
+    off_diag = row[others]
+    mean = off_diag.mean()
+    std = off_diag.std()
+    if exclude is not None:
+        kept = ~np.isin(others, np.asarray(exclude, dtype=np.int64))
+        others, off_diag = others[kept], off_diag[kept]
+    if not others.size:
+        raise ValueError("no negative candidates remain outside the positive set")
+    band = others[(mean <= off_diag) & (off_diag <= mean + std)]
+    if band.size:
+        return band
+    order = np.lexsort((others, np.abs(others - anchor), np.abs(off_diag - mean)))
+    return others[order[:1]]

@@ -431,6 +431,21 @@ class TestAliasedOutputs:
                              "--out", str(labels)], ["--out", "--pred"], capsys)
         assert labels.read_bytes() == before
 
+    @pytest.mark.parametrize("flag", ["--out-z", "--out-model"])
+    def test_train_output_names_a_directory(self, video_files, tmp_path, capsys, monkeypatch,
+                                            flag):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before refusing the output")
+
+        monkeypatch.setattr("tsaseg.cli.train", no_training)
+        features, _ = video_files
+        directory = tmp_path / "d"
+        directory.mkdir()
+        outputs = {"--out-z": str(tmp_path / "z.bin"), flag: str(directory)}
+        argv = ["train", "--features", str(features)] + [a for kv in outputs.items() for a in kv]
+        self.assert_refused(argv, [flag, "is a directory"], capsys)
+        assert list(directory.iterdir()) == []
+
     def test_plot_output_links_to_gt(self, tmp_path, capsys):
         gt = tmp_path / "gt.txt"
         save_labels(np.array([0, 0, 1]), gt)

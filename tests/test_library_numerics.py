@@ -1,11 +1,11 @@
-"""The library-backed clustering and scoring paths against the loop oracle.
+"""The library-backed clustering, scoring and selection paths against the loop oracle.
 
 ``tests/loop_oracle.py`` holds the per-frame loops, union-find,
-difference-tensor k-means, per-cluster and per-class masks and the
-all-means-per-merge FINCH refinement that SciPy and NumPy calls
-replaced. Scores, FINCH levels and exact-k labels, relabelling, run
-splitting, cluster means and k-means labels must be exactly equal to
-them.
+difference-tensor k-means, per-cluster and per-class masks, the
+all-means-per-merge FINCH refinement and the full-sort triplet
+selection that SciPy and NumPy calls replaced. Scores, FINCH levels and
+exact-k labels, relabelling, run splitting, cluster means, k-means
+labels and positive and negative sets must be exactly equal to them.
 """
 
 import tracemalloc
@@ -22,6 +22,7 @@ from tsaseg import cluster
 from tsaseg.cluster import KMEANS_RESTARTS, Segmentation, finch, kmeans, spectral
 from tsaseg.evaluate import MatchResult, contingency, f1, iou, mof, score
 from tsaseg.similarity import ROW_BLOCK
+from tsaseg.triplet import negative_set, positive_set
 
 
 def labels_with_gaps(rng, n, k):
@@ -111,6 +112,43 @@ def star_of_pairs(groups=5, spokes=10, d=64, r=0.1, eps=1e-3, seed=0):
     centers = np.array(centers) + 1e-2 * r * rng.standard_normal((len(centers), d))
     offset = eps * rng.standard_normal(centers.shape)
     return np.concatenate([centers + offset, centers - offset])
+
+
+class TestSelectionMatchesOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 90),
+           kind=st.sampled_from(
+               ("one_decimal", "two_decimals", "constant", "bimodal", "nan", "continuous")
+           ),
+           fraction=st.sampled_from((0.01, 0.05, 0.3, 0.5, 0.9, 0.99)))
+    def test_sets_equal_full_sort(self, seed, n, kind, fraction):
+        # one or two decimals make most entries tie; a fraction of 0.99
+        # (and 0.9 below n = 20) hits the n - 2 cap on the positive count;
+        # bimodal rows (a few high entries, the rest two tied low values)
+        # empty the negative band, so the closest-to-mean fallback decides;
+        # NaN entries rank last among the positives, and may outnumber
+        # the finite ones; excluded indices outside [0, n) are ignored
+        rng = np.random.default_rng(seed)
+        row = rng.uniform(0.0, 1.0, size=n)
+        if kind == "one_decimal":
+            row = np.round(row, 1)
+        elif kind == "two_decimals":
+            row = np.round(row, 2)
+        elif kind == "constant":
+            row = np.full(n, row[0])
+        elif kind == "bimodal":
+            row = np.where(row < 0.1, 20.0, np.where(row < 0.55, 1.0, 1.5))
+        elif kind == "nan":
+            row = np.where(rng.random(n) < rng.uniform(0.1, 0.95), np.nan, np.round(row, 1))
+        anchors = {0, n - 1, int(rng.integers(n))}
+        for anchor in sorted(anchors):
+            pos = positive_set(row, anchor, fraction)
+            want_pos = loop_oracle.positive_set(row, anchor, fraction)
+            assert pos.dtype == want_pos.dtype and np.array_equal(pos, want_pos)
+            for exclude in (None, want_pos, np.concatenate([want_pos, [-1, -n, n, n + 5]])):
+                neg = negative_set(row, anchor, exclude)
+                want_neg = loop_oracle.negative_set(row, anchor, exclude)
+                assert neg.dtype == want_neg.dtype and np.array_equal(neg, want_neg)
 
 
 class TestClusteringMatchesOracle:

@@ -141,19 +141,38 @@ class TestGradientOracle:
 
 class TestEpochHead:
     def test_diagonal_and_anchor_rows_match_dense(self):
+        # the head builds each kernel pair once, so every block edge
+        # decides which block adds a pair to which row sum; the last n
+        # has three row blocks, the last one partial
         rng = np.random.default_rng(4)
-        n = 2 * ROW_BLOCK + 37  # three row blocks, the last one partial
-        for mode in MODES:
-            for gapped in (False, True):
-                model, X, config, positions = random_instance(
-                    rng, n, 6, gapped, similarity_mode=mode
-                )
-                dense = combined_distribution(model, X, config, positions).rows
-                work = chain(model, X, positions, config)
-                assert np.allclose(_diagonal(work, config), np.diag(dense), rtol=1e-12, atol=0)
-                anchors = np.sort(rng.choice(n, size=20, replace=False))
-                rows = _distribution_rows(work, anchors, config)["F"]
-                assert np.allclose(rows, dense[anchors], rtol=1e-12, atol=0)
+        for n in (2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 37):
+            for mode in MODES:
+                for gapped in (False, True):
+                    model, X, config, positions = random_instance(
+                        rng, n, 6, gapped, similarity_mode=mode
+                    )
+                    dense = combined_distribution(model, X, config, positions).rows
+                    work = chain(model, X, positions, config)
+                    assert np.allclose(
+                        _diagonal(work, config), np.diag(dense), rtol=1e-12, atol=0
+                    ), (n, mode, gapped)
+                    anchors = np.sort(rng.choice(n, size=min(20, n), replace=False))
+                    rows = _distribution_rows(work, anchors, config)["F"]
+                    assert np.allclose(rows, dense[anchors], rtol=1e-12, atol=0)
+
+    def test_head_allocates_one_row_block_plus_linear(self):
+        rng = np.random.default_rng(6)
+        n = 3 * ROW_BLOCK + 5
+        model, X, config, positions = random_instance(rng, n, 6, True)
+        work = chain(model, X, positions, config)
+        tracemalloc.start()
+        try:
+            _diagonal(work, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one ROW_BLOCK x n float64 block and a few length-n vectors
+        assert peak <= (ROW_BLOCK + 10) * n * 8
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("L", [7, 14])
