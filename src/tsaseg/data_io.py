@@ -194,6 +194,13 @@ def _read_text(path: Path, encoding: str) -> str:
         raise DataFormatError(f"{path}: byte {exc.start}: not valid {encoding}") from exc
 
 
+def _decimal(text: str) -> str:
+    """``text`` unchanged, unless it holds ``_``, which int() and float() skip ('1_5' is 15)."""
+    if "_" in text:
+        raise ValueError(f"digit separator in {text!r}")
+    return text
+
+
 def _load_text(path: Path) -> np.ndarray:
     raw = _read_text(path, "ascii").split("\n")
     if raw and raw[-1] == "":
@@ -204,7 +211,7 @@ def _load_text(path: Path) -> np.ndarray:
     if len(header) != 2:
         raise DataFormatError(f"{path}: line 1: header must be 'N n', got {raw[0]!r}")
     try:
-        n_frames, n_dims = int(header[0]), int(header[1])
+        n_frames, n_dims = int(_decimal(header[0])), int(_decimal(header[1]))
     except ValueError as exc:
         raise DataFormatError(f"{path}: line 1: non-integer header {raw[0]!r}") from exc
     if n_frames < 1 or n_dims < 1:
@@ -222,6 +229,7 @@ def _load_text(path: Path) -> np.ndarray:
                 f"{path}: line {i + 2}: expected {n_dims} values, got {len(tokens)}"
             )
         try:
+            _decimal(line)
             values[i] = [float(t) for t in tokens]
         except ValueError as exc:
             raise DataFormatError(f"{path}: line {i + 2}: unparsable float") from exc
@@ -323,7 +331,7 @@ def _coerce(key: str, value):
     if not isinstance(value, str) or kind not in ("int", "float"):
         return value
     try:
-        return int(value) if kind == "int" else float(value)
+        return int(_decimal(value)) if kind == "int" else float(_decimal(value))
     except ValueError:
         article = "an" if kind == "int" else "a"
         raise ValueError(f"config key {key!r}: {value!r} is not {article} {kind}") from None

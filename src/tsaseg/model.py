@@ -29,6 +29,11 @@ head builds each pair once, ROW_BLOCK rows at a time. Selection reads
 the pooled anchors' rows; a gradient step reads the rows of its
 triplets' frames, outside which dL/dF and dL/dS vanish.
 
+While no hidden unit clips (every pre-activation > 0, as from the
+identity init on every benchmark video), the MLP is affine, and the
+backward pass takes both weight gradients from the one d x d product
+dZ^T X; once a unit clips, it applies the ReLU mask instead.
+
 A :class:`Workspace` is one video's training context: its features, its
 temporal band and the N x d buffers the chain writes in place, so a step
 allocates no N x d array. :func:`train` allocates one per video,
@@ -138,13 +143,15 @@ class Workspace:
 
     ``X`` and ``band`` (see :func:`temporal_band`) are fixed per video.
     The N x d buffers are allocated once: ``hid`` holds the hidden
-    layer's pre-activation, rectified in place to its output (the
-    backward mask reads ``hid > 0``), ``Z`` the learned rows,
-    normalised in place to ``U``. ``dU`` holds dL/dU divided by the row
-    norms, turned in place into dL/dZ. ``tmp`` holds rowdot * U, then
-    the error sent back through W2 to the hidden layer's
-    pre-activation. :func:`_forward_chain` sets ``U``, ``norms`` and
-    ``alpha`` at the current parameters; the next call overwrites them.
+    layer's pre-activation, rectified in place to its output, ``Z`` the
+    learned rows, normalised in place to ``U``. ``dU`` holds dL/dU
+    divided by the row norms, turned in place into dL/dZ. ``tmp`` holds
+    rowdot * U, then, when a unit clipped, the error sent back through
+    W2 to the hidden layer's pre-activation. :func:`_forward_chain` sets
+    ``U``, ``norms``, ``alpha`` and ``linear`` at the current
+    parameters; the next call overwrites them. ``linear`` is true when
+    no hidden unit clipped (``hid.min() > 0``, false on a NaN too), and
+    picks the branch of :func:`_similarity_to_params`.
     """
 
     X: np.ndarray
@@ -156,6 +163,7 @@ class Workspace:
     U: np.ndarray | None = None
     norms: np.ndarray | None = None
     alpha: np.ndarray | None = None
+    linear: bool | None = None
 
     @classmethod
     def allocate(cls, X: np.ndarray, band: csr_matrix) -> "Workspace":
@@ -227,6 +235,7 @@ def _forward_chain(model: TsaModel, work: Workspace, config: RunConfig) -> None:
     need them.
     """
     Z = _mlp(model, work.X, work)
+    work.linear = bool(work.hid.min() > 0)  # false on a NaN too
     norms = np.sqrt(np.einsum("ij,ij->i", Z, Z))
     if np.any(norms == 0):
         i = int(np.argwhere(norms == 0)[0][0])
@@ -387,6 +396,19 @@ def _similarity_to_params(
     ``dS`` holds the non-zero rows ``index`` of the N x N gradient, so
     (dS + dS^T) @ U splits into one product per side. The N x d
     intermediates are written into the workspace.
+
+    When ``work.linear``, hid = X W1^T + 1 b1^T exactly, and with
+    G = dZ^T X and the bias gradient b2 = 1^T dZ, the weight gradients
+    need no second N x d x d product:
+
+        dL/dW2 = dZ^T hid = G W1^T + b2 b1^T
+        dL/dW1 = (dZ W2)^T X = W2^T G
+        dL/db1 = 1^T dZ W2 = b2 W2
+
+    Otherwise the error goes back through W2 and the ReLU mask
+    ``hid > 0`` (relu(p) > 0 exactly where p > 0). The two branches
+    round differently; neither is a correction of the other, which would
+    leave roundoff where a clipped row's gradient is exactly zero.
     """
     U, norms = work.U, work.norms
     # d = dU / norms, with 1/norms folded into dS's columns and rows
@@ -395,6 +417,11 @@ def _similarity_to_params(
     # dZ = d - rowsum(d * U) * U, in place in d
     rowdot = np.einsum("ij,ij->i", d, U)
     d -= np.multiply(rowdot[:, None], U, out=work.tmp)
+    if work.linear:
+        b2 = d.sum(axis=0)
+        G = d.T @ work.X
+        return {"W2": G @ model.W1.T + np.outer(b2, model.b1), "b2": b2,
+                "W1": model.W2.T @ G, "b1": b2 @ model.W2}
     grads = {"W2": d.T @ work.hid, "b2": d.sum(axis=0)}
     d_pre = np.matmul(d, model.W2, out=work.tmp)
     d_pre *= work.hid > 0  # relu(p) > 0 exactly where p > 0

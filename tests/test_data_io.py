@@ -67,6 +67,18 @@ class TestTextFormat:
         with pytest.raises(DataFormatError, match="header"):
             load_features(path)
 
+    @pytest.mark.parametrize("text, match", [
+        ("2 2\n1 1_5\n0 1\n", r"sep\.txt: line 2: unparsable float"),
+        ("2 2\n1 1\n0 1_0.5e1_0\n", r"sep\.txt: line 3: unparsable float"),
+        ("2 1_0\n" + "1 0 0 0 0 0 0 0 0 0\n" * 2, r"sep\.txt: line 1: non-integer header"),
+    ], ids=["value", "exponent", "header"])
+    def test_digit_separator_rejected(self, tmp_path, text, match):
+        # float("1_5") is 15.0 and int("1_0") is 10; a value file is decimal
+        path = tmp_path / "sep.txt"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=match):
+            load_features(path)
+
     def test_non_finite_names_position(self, tmp_path):
         path = tmp_path / "inf.txt"
         path.write_text("2 2\n1 inf\n0 1\n")
@@ -257,6 +269,18 @@ class TestRunConfig:
         path.write_bytes(b"L = 9\n\xff = 1\n")
         with pytest.raises(DataFormatError, match=r"run\.cfg: byte 6: not valid utf-8"):
             load_config(path)
+
+    @pytest.mark.parametrize("line, match", [
+        ("batch_size = 1_28", r"config key 'batch_size': '1_28' is not an int"),
+        ("learning_rate = 0.0_1", r"config key 'learning_rate': '0.0_1' is not a float"),
+    ], ids=["int", "float"])
+    def test_digit_separator_rejected(self, tmp_path, line, match):
+        path = tmp_path / "run.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(DataFormatError, match=r"run\.cfg: line 1: " + match):
+            load_config(path)
+        with pytest.raises(ValueError, match=match):
+            make_config(**dict([line.split(" = ")]))
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -73,6 +73,18 @@ def chain(model, X, positions, config):
     return work
 
 
+def assert_gradients_match(got, want):
+    """Every block on the scale of the largest gradient entry.
+
+    A block that is mathematically zero (say the last bias when all
+    learned rows coincide) holds only roundoff of sums of larger terms.
+    """
+    assert got.keys() == want.keys()
+    scale = max(float(np.max(np.abs(g))) for g in want.values())
+    for name, g in want.items():
+        assert np.max(np.abs(got[name] - g)) <= 1e-12 * scale, name
+
+
 def hinge_gaps(F, triplets, raw):
     """Per-triplet hinge argument from dense rows."""
     if raw:
@@ -92,16 +104,22 @@ class TestGradientOracle:
         per_anchor=st.integers(1, 4),
         n_anchors=st.integers(1, 4),
         positions_gapped=st.booleans(),
+        unclipped=st.booleans(),
     )
     def test_matches_dense_engine(
         self, seed, n, d, similarity_mode, loss_features,
-        per_anchor, n_anchors, positions_gapped,
+        per_anchor, n_anchors, positions_gapped, unclipped,
     ):
         rng = np.random.default_rng(seed)
         model, X, config, positions = random_instance(
             rng, n, d, positions_gapped,
             similarity_mode=similarity_mode, loss_features=loss_features, per_anchor=per_anchor,
         )
+        if unclipped:
+            # every pre-activation >= 0.1: the step takes both weight
+            # gradients from one product (the branch training runs)
+            pre = X @ model.W1.T + model.b1
+            model.b1 += np.maximum(0.1 - pre.min(axis=0), 0.0)
         # Anchors repeat across triplets (per_anchor > 1, and anchors drawn
         # with replacement), and frames recur as positive and negative.
         triplets = []
@@ -123,6 +141,7 @@ class TestGradientOracle:
 
         want_loss, want = dense_oracle._loss_and_gradients(model, dense_cache, triplets, config)
         work = chain(model, X, positions, config)
+        assert work.linear or not unclipped
         loss, got = _loss_and_gradients(model, work, triplets, config)
 
         # The loss is a mean of differences of KL divergences between rows
@@ -130,13 +149,26 @@ class TestGradientOracle:
         loss_scale = max(abs(want_loss), 1.0)
         assert abs(loss - want_loss) <= 1e-12 * loss_scale
         assert abs(loss - training_loss(model, X, triplets, config, positions)) <= 1e-12 * loss_scale
-        # Every block on the scale of the largest gradient entry: a block
-        # that is mathematically zero (say the last bias when all learned
-        # rows coincide) holds only roundoff of sums of larger terms.
-        assert got.keys() == want.keys()
-        scale = max(float(np.max(np.abs(g))) for g in want.values())
-        for name, g in want.items():
-            assert np.max(np.abs(got[name] - g)) <= 1e-12 * scale, name
+        assert_gradients_match(got, want)
+
+    def test_unit_exactly_at_zero_is_clipped(self):
+        # relu'(0) = 0: one pre-activation of exactly 0.0 sends the step
+        # down the mask path, where that unit passes no gradient
+        rng = np.random.default_rng(3)
+        n, d = 12, 4
+        model, X, config, _ = random_instance(rng, n, d, False)
+        model.W1 = np.eye(d)
+        model.b1 = np.full(d, 1.0 + max(0.0, -float(X.min())))
+        X[5, 2] = -model.b1[2]  # pre = X W1^T + b1 is exact with W1 = I
+        work = chain(model, X, None, config)
+        assert not work.linear
+        assert np.count_nonzero(work.hid == 0.0) == 1 and work.hid[5, 2] == 0.0
+        triplets = [Triplet(5, 6, 0), Triplet(5, 1, 9), Triplet(2, 5, 11), Triplet(8, 3, 5)]
+        ft = temporal_distribution(n, TemporalKernel(config.L)).rows
+        dense_cache = dense_oracle._forward_chain(model, X, ft, config)
+        assert np.all(np.abs(hinge_gaps(dense_cache["F"], triplets, False)) > 1e-6)
+        _, want = dense_oracle._loss_and_gradients(model, dense_cache, triplets, config)
+        assert_gradients_match(backward(model, X, triplets, config), want)
 
 
 class TestEpochHead:

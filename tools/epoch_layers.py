@@ -17,6 +17,9 @@ BLAS thread, the four parts of an epoch of the checkout's ``src/``:
   step's batch.
 
 Each figure is the median of ``--repeats`` timings, in milliseconds.
+At the identity init no hidden unit clips, so the step takes the
+backward pass's one-product branch (``Workspace.linear``), the branch
+training runs on every benchmark video.
 Run it on two checkouts with the same arguments to compare them.
 """
 
