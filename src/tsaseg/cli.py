@@ -24,6 +24,7 @@ from .data_io import (
     DataFormatError,
     LabelSequence,
     RunConfig,
+    _decimal,
     config_lines,
     load_config,
     load_features,
@@ -57,17 +58,31 @@ PALETTE = [
 UNMATCHED_COLOR = "#2b2b2b"
 
 
-def _resolve_seed(value, source: str = "--seed") -> int:
-    """``value``, read from ``source``, else TSA_SEED, else 0, as an integer in [0, 2**64)."""
+def _resolve_seed(value: str | None, source: str = "--seed") -> int:
+    """``value``, read from ``source``, else TSA_SEED, else 0, as an integer in [0, 2**64).
+
+    The text must be plain ASCII decimal, as a config value must be.
+    """
     if value is None:
-        value, source = os.environ.get("TSA_SEED", 0), "TSA_SEED"
+        value, source = os.environ.get("TSA_SEED", "0"), "TSA_SEED"
     try:
-        seed = int(value)
+        seed = int(_decimal(value))
         if 0 <= seed < 2**64:
             return seed
     except ValueError:
         pass
     raise ValueError(f"{source}: seed {value!r} is not an integer in [0, 2**64)")
+
+
+def _decimal_type(kind):
+    """An argparse type reading ``kind`` from plain ASCII decimal text, as config values are."""
+    def parse(text: str):
+        return kind(_decimal(text))
+    parse.__name__ = kind.__name__  # argparse names the type in its error
+    return parse
+
+
+INT, FLOAT = _decimal_type(int), _decimal_type(float)
 
 
 def _echo(lines) -> None:
@@ -87,15 +102,15 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate a planted synthetic video")
     p.add_argument("--out-features", required=True)
     p.add_argument("--out-labels", required=True)
-    p.add_argument("--segments", type=int, default=SynthSpec.n_segments)
-    p.add_argument("--frames-min", type=int, default=SynthSpec.frames_per_segment[0])
-    p.add_argument("--frames-max", type=int, default=SynthSpec.frames_per_segment[1])
-    p.add_argument("--dims", type=int, default=SynthSpec.dims)
-    p.add_argument("--classes", type=int, default=SynthSpec.n_action_classes)
-    p.add_argument("--noise", type=float, default=SynthSpec.noise_sigma)
-    p.add_argument("--separation", type=float, default=SynthSpec.center_separation)
+    p.add_argument("--segments", type=INT, default=SynthSpec.n_segments)
+    p.add_argument("--frames-min", type=INT, default=SynthSpec.frames_per_segment[0])
+    p.add_argument("--frames-max", type=INT, default=SynthSpec.frames_per_segment[1])
+    p.add_argument("--dims", type=INT, default=SynthSpec.dims)
+    p.add_argument("--classes", type=INT, default=SynthSpec.n_action_classes)
+    p.add_argument("--noise", type=FLOAT, default=SynthSpec.noise_sigma)
+    p.add_argument("--separation", type=FLOAT, default=SynthSpec.center_separation)
     p.add_argument("--background", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", default=None)
     p.add_argument("--format", choices=("text", "binary"), default="text")
 
     p = sub.add_parser("train", help="learn a representation for one video")
@@ -110,16 +125,16 @@ def build_parser() -> _Parser:
     p = sub.add_parser("segment", help="cluster learned features into actions")
     p.add_argument("--z", required=True)
     p.add_argument("--method", choices=("kmeans", "finch", "spectral", "equal"), required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=INT, required=True)
     p.add_argument("--out-labels", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", default=None)
 
     p = sub.add_parser("eval", help="score predicted labels against ground truth")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--background", default=None, help="ground-truth background token")
-    p.add_argument("--tau", type=float, default=0.0, help="background removal ratio")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--tau", type=FLOAT, default=0.0, help="background removal ratio")
+    p.add_argument("--seed", default=None)
     p.add_argument("--out", default=None, help="also write the scores JSON here")
 
     p = sub.add_parser("plot", help="render segmentation bars as SVG")

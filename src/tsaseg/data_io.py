@@ -195,9 +195,15 @@ def _read_text(path: Path, encoding: str) -> str:
 
 
 def _decimal(text: str) -> str:
-    """``text`` unchanged, unless it holds ``_``, which int() and float() skip ('1_5' is 15)."""
+    """``text`` unchanged, unless it holds ``_`` or a non-ASCII character.
+
+    int() and float() skip digit separators ('1_5' is 15) and read any
+    Unicode digit ('１２' is 12); a value is plain ASCII decimal text.
+    """
     if "_" in text:
         raise ValueError(f"digit separator in {text!r}")
+    if not text.isascii():
+        raise ValueError(f"non-ASCII character in {text!r}")
     return text
 
 

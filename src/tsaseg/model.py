@@ -246,24 +246,29 @@ def _forward_chain(model: TsaModel, work: Workspace, config: RunConfig) -> None:
 
 
 def _distribution_rows(work: Workspace, index: np.ndarray, config: RunConfig) -> dict:
-    """Rows ``index`` of the similarity, kernel and distribution matrices.
+    """Rows ``index`` of the distribution matrices, each len(index) x N.
 
-    Every matrix entry is len(index) x N: S (cosine), K (kernel), FS
-    (semantic PDF), ft (temporal PDF) and F (the smoothed mix the loss and
-    selection read), plus the row sums sk and su and the rows' alpha.
+    Returns FS (semantic PDF), ft (temporal PDF) and F (the smoothed mix
+    the loss and selection read), plus the row sums su of the smoothed
+    mix and the rows' alpha. FS is built in one buffer: the cosine rows,
+    turned in place into kernel rows and normalised by their sums. F is
+    built in a second: alpha*ft, plus (1 - alpha)*FS, plus the smoothing,
+    divided by su. At most four len(index) x N arrays are alive at once.
     """
     U = work.U
-    S = U[index] @ U.T
-    K = np.exp((S - 1.0) / config.h)
-    sk = K.sum(axis=1)
-    FS = K / sk[:, None]
+    FS = np.matmul(U[index], U.T)
+    FS -= 1.0
+    FS /= config.h
+    np.exp(FS, out=FS)
+    FS /= FS.sum(axis=1)[:, None]
     ft = band_rows(work.band, index)
     alpha = work.alpha[index]
-    mixed = alpha[:, None] * ft + (1.0 - alpha[:, None]) * FS
-    smoothed = mixed + KL_SMOOTHING
-    su = smoothed.sum(axis=1)
-    F = smoothed / su[:, None]
-    return {"S": S, "K": K, "sk": sk, "FS": FS, "ft": ft, "alpha": alpha, "su": su, "F": F}
+    F = alpha[:, None] * ft
+    F += (1.0 - alpha[:, None]) * FS
+    F += KL_SMOOTHING
+    su = F.sum(axis=1)
+    F /= su[:, None]
+    return {"FS": FS, "ft": ft, "alpha": alpha, "su": su, "F": F}
 
 
 def _diagonal(work: Workspace, config: RunConfig) -> np.ndarray:
@@ -331,10 +336,10 @@ def _loss_and_gradients(
     frames = np.array([(t.anchor, t.positive, t.negative) for t in triplets]).T.ravel()
     index, local = np.unique(frames, return_inverse=True)
     ai, pi, ni = local.reshape(3, n_t)
-    rows = _distribution_rows(work, index, config)
     da_raw = np.zeros_like(model.a_raw)
 
     if config.loss_features == "pdf":
+        rows = _distribution_rows(work, index, config)
         F = rows["F"]
         logF = np.log(F)
         kl_pos = np.einsum("tk,tk->t", F[ai], logF[ai] - logF[pi])
@@ -348,8 +353,8 @@ def _loss_and_gradients(
         np.add.at(dF, pi, coeff[:, None] * (-F[ai] / F[pi]))
         np.add.at(dF, ni, coeff[:, None] * (F[ai] / F[ni]))
         dS, da_raw[index] = _pdf_chain_to_similarity(rows, dF, config)
-    else:  # raw cosine-distance triplet loss: no PDFs inside the loss
-        S = rows["S"]
+    else:  # raw cosine-distance triplet loss: only the cosine rows, no PDFs
+        S = work.U[index] @ work.U.T
         p, q = index[pi], index[ni]
         gaps = S[ai, q] - S[ai, p]
         active = gaps > 0
@@ -374,18 +379,19 @@ def _pdf_chain_to_similarity(
     Works on the rows built by :func:`_distribution_rows`; returns
     (dL/dS, dL/da_raw) on those rows. A fixed alpha of 0 or 1 zeroes the
     factor alpha*(1 - alpha), and alpha = 1 zeroes dL/dS.
+
+    The kernel K = exp((S - 1)/h) enters only through FS = K / rowsum(K),
+    and dK/dS = K/h, so the kernel rows are not needed:
+
+        dL/dS = (dFS - rowsum(dFS * FS)) * FS / h
     """
-    F, FS, K, sk, su = rows["F"], rows["FS"], rows["K"], rows["sk"], rows["su"]
-    alpha, ft = rows["alpha"], rows["ft"]
+    F, FS, su, alpha, ft = rows["F"], rows["FS"], rows["su"], rows["alpha"], rows["ft"]
     # smoothing renormalization F = (mixed + eps) / su
     d_mixed = (dF - (dF * F).sum(axis=1, keepdims=True)) / su[:, None]
     d_alpha = ((ft - FS) * d_mixed).sum(axis=1)
     dFS = d_mixed * (1.0 - alpha)[:, None]
     da_raw = d_alpha * alpha * (1.0 - alpha)
-    # kernel row normalization FS = K / sk
-    dK = (dFS - (dFS * FS).sum(axis=1, keepdims=True)) / sk[:, None]
-    # K = exp((S - 1)/h)
-    return dK * K / config.h, da_raw
+    return (dFS - (dFS * FS).sum(axis=1, keepdims=True)) * FS / config.h, da_raw
 
 
 def _similarity_to_params(

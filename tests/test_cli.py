@@ -41,7 +41,8 @@ class TestSynthCommand:
         assert paths[0][0].read_bytes() == paths[1][0].read_bytes()
         assert paths[0][1].read_bytes() == paths[1][1].read_bytes()
 
-    @pytest.mark.parametrize("value", ["abc", "-3"])
+    # int() would read '2_5' and any Unicode digit ('２５') as 25
+    @pytest.mark.parametrize("value", ["abc", "-3", "2_5", "２_５", "２５"])
     def test_bad_env_seed_exits_one_naming_it(self, tmp_path, monkeypatch, capsys, value):
         monkeypatch.setenv("TSA_SEED", value)
         code = main(["synth", "--out-features", str(tmp_path / "f.txt"),
@@ -454,3 +455,43 @@ class TestAliasedOutputs:
         link.symlink_to(gt)
         self.assert_refused(["plot", "--gt", str(gt), "--out", str(link)], ["--out", "--gt"], capsys)
         assert gt.read_bytes() == before
+
+
+class TestNumberSyntax:
+    """Number flags read plain ASCII decimal text, as config values do.
+
+    int() and float() would read '1_0' as 10 and any Unicode digit
+    ('１２' as 12, '٠.５' as 0.5); each such value exits 1 naming its
+    flag, before any output is written.
+    """
+
+    @staticmethod
+    def argv(verb, tmp_path):
+        out, given = str(tmp_path / "out.txt"), str(tmp_path / "in.txt")
+        return {
+            "synth": ["synth", "--out-features", out, "--out-labels", str(tmp_path / "l.txt")],
+            "train": ["train", "--features", given, "--out-z", out],
+            "segment": ["segment", "--z", given, "--method", "equal", "--k", "2",
+                        "--out-labels", out],
+            "eval": ["eval", "--pred", given, "--gt", str(tmp_path / "gt.txt"), "--out", out],
+        }[verb]
+
+    @pytest.mark.parametrize("verb, flag", [
+        ("synth", "--segments"), ("synth", "--frames-min"), ("synth", "--frames-max"),
+        ("synth", "--dims"), ("synth", "--classes"), ("synth", "--seed"),
+        ("train", "--seed"), ("segment", "--k"), ("segment", "--seed"), ("eval", "--seed"),
+    ])
+    @pytest.mark.parametrize("value", ["1_0", "１２"], ids=["separator", "fullwidth"])
+    def test_int_flag_exits_one_naming_it(self, tmp_path, capsys, verb, flag, value):
+        assert main(self.argv(verb, tmp_path) + [flag, value]) == 1
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out.txt").exists()
+
+    @pytest.mark.parametrize("verb, flag", [
+        ("synth", "--noise"), ("synth", "--separation"), ("eval", "--tau"),
+    ])
+    @pytest.mark.parametrize("value", ["1e-3_0", "٠.５"], ids=["separator", "arabic-indic"])
+    def test_float_flag_exits_one_naming_it(self, tmp_path, capsys, verb, flag, value):
+        assert main(self.argv(verb, tmp_path) + [flag, value]) == 1
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out.txt").exists()

@@ -273,10 +273,13 @@ class TestRunConfig:
     @pytest.mark.parametrize("line, match", [
         ("batch_size = 1_28", r"config key 'batch_size': '1_28' is not an int"),
         ("learning_rate = 0.0_1", r"config key 'learning_rate': '0.0_1' is not a float"),
-    ], ids=["int", "float"])
+        # int("１２８") is 128 and float("٠.５") is 0.5; a value is ASCII decimal
+        ("batch_size = １２８", r"config key 'batch_size': '１２８' is not an int"),
+        ("h = ٠.５", r"config key 'h': '٠.５' is not a float"),
+    ], ids=["int", "float", "fullwidth-int", "arabic-indic-float"])
     def test_digit_separator_rejected(self, tmp_path, line, match):
         path = tmp_path / "run.cfg"
-        path.write_text(line + "\n")
+        path.write_text(line + "\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match=r"run\.cfg: line 1: " + match):
             load_config(path)
         with pytest.raises(ValueError, match=match):

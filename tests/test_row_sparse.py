@@ -171,6 +171,26 @@ class TestGradientOracle:
         assert_gradients_match(backward(model, X, triplets, config), want)
 
 
+    def test_raw_loss_step_builds_no_distribution_rows(self, monkeypatch):
+        # the raw loss reads cosine rows only; a PDF row would be waste
+        rng = np.random.default_rng(11)
+        n = 40
+        model, X, config, positions = random_instance(rng, n, 5, True, loss_features="raw")
+        triplets = [Triplet(a, (a + 7) % n, (a + 19) % n) for a in range(0, n, 3)]
+        ft = temporal_distribution(n, TemporalKernel(config.L), positions)
+        dense_cache = dense_oracle._forward_chain(model, X, ft.rows, config)
+        triplets = [t for t, g in zip(triplets, hinge_gaps(dense_cache["S"], triplets, True))
+                    if abs(g) > 1e-6]
+        assert triplets
+        _, want = dense_oracle._loss_and_gradients(model, dense_cache, triplets, config)
+
+        def refuse(*args):
+            raise AssertionError("the raw-loss step built distribution rows")
+
+        monkeypatch.setattr("tsaseg.model._distribution_rows", refuse)
+        assert_gradients_match(backward(model, X, triplets, config, positions), want)
+
+
 class TestEpochHead:
     def test_diagonal_and_anchor_rows_match_dense(self):
         # the head builds each kernel pair once, so every block edge
@@ -205,6 +225,26 @@ class TestEpochHead:
             tracemalloc.stop()
         # one ROW_BLOCK x n float64 block and a few length-n vectors
         assert peak <= (ROW_BLOCK + 10) * n * 8
+
+    def test_selection_holds_four_row_blocks_plus_linear(self, monkeypatch):
+        # 188 anchors: a full row block and a partial one
+        rng = np.random.default_rng(6)
+        n = 3000
+        model, X, config, positions = random_instance(rng, n, 6, True)
+        config = replace(config, batch_size=16)
+        work = chain(model, X, positions, config)
+        head = _diagonal(work, config)
+        monkeypatch.setattr("tsaseg.model._diagonal", lambda work, config: head)
+        tracemalloc.start()
+        try:
+            triplets = _select_epoch_triplets(work, config, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(triplets) // config.per_anchor > ROW_BLOCK
+        # FS, ft, F and the (1 - alpha) FS term, each ROW_BLOCK x n float64,
+        # plus a few length-n vectors and the anchors' generators
+        assert peak <= (4 * ROW_BLOCK + 16) * n * 8
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("L", [7, 14])

@@ -12,11 +12,13 @@ BLAS thread, the four parts of an epoch of the checkout's ``src/``:
 - ``head_ms``: ``model._diagonal``, the epoch head;
 - ``select_ms``: ``model._select_epoch_triplets`` without the head (it
   reads a head computed beforehand), and ``select_per_anchor_ms``;
+  ``select_peak_mib`` is its tracemalloc peak, from one more call that
+  is not timed;
 - ``forward_ms``: ``model._forward_chain``, once per step;
 - ``loss_and_gradients_ms``: ``model._loss_and_gradients`` on the first
   step's batch.
 
-Each figure is the median of ``--repeats`` timings, in milliseconds.
+Each timing is the median of ``--repeats`` runs, in milliseconds.
 At the identity init no hidden unit clips, so the step takes the
 backward pass's one-product branch (``Workspace.linear``), the branch
 training runs on every benchmark video.
@@ -37,6 +39,7 @@ import json
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +90,12 @@ def measure(model, frames: int, dims: int, preset: str, repeats: int) -> dict:
 
         triplets = select()
         result["select_ms"] = _median_ms(select, repeats)
+        tracemalloc.start()
+        try:
+            select()
+            result["select_peak_mib"] = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
     finally:
         model._diagonal = diagonal
     anchors = len(triplets) // config.per_anchor
