@@ -2,10 +2,12 @@
 
 Every run echoes its fully resolved configuration (defaults included)
 to stderr as ``# key = value`` lines. An output path that names a
-directory, one of the run's inputs or another of its outputs is refused
-before any work, so no verb overwrites what it reads. Exit codes: 0 success, 1 user or
-data error, 2 internal invariant failure. The environment variable
-``TSA_SEED`` acts as seed fallback when no flag or config supplies one.
+directory, lies in no directory, or names one of the run's inputs or
+another of its outputs is refused before any work, so no verb overwrites
+what it reads or works for nothing. Exit codes: 0 success, 1 user or
+data error (a file that cannot be read or written included), 2 internal
+invariant failure. The environment variable ``TSA_SEED`` acts as seed
+fallback when no flag or config supplies one.
 """
 
 from __future__ import annotations
@@ -167,7 +169,12 @@ def _file_paths(args, dests):
 
 
 def _refuse_aliased_outputs(args) -> None:
-    """Raise UsageError when an output is a directory, an input or an earlier output of the run."""
+    """Raise UsageError when an output cannot be written or names what the run reads or writes.
+
+    An output is refused when it is a directory, when its parent is
+    missing or not a directory, and when it names an input or an earlier
+    output of the run.
+    """
     inputs, outputs = FILE_FLAGS[args.verb]
     owner = {}
     for flag, path in _file_paths(args, inputs):
@@ -176,6 +183,9 @@ def _refuse_aliased_outputs(args) -> None:
         key = Path(path).resolve()
         if key.is_dir():
             raise UsageError(f"{flag} {path} is a directory")
+        if not key.parent.is_dir():
+            state = "is not a directory" if key.parent.exists() else "does not exist"
+            raise UsageError(f"{flag} {path}: its directory {key.parent} {state}")
         if key in owner:
             raise UsageError(f"{flag} {path} names the same file as {owner[key]}")
         owner[key] = flag
@@ -375,7 +385,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, DataFormatError, ZeroNormRowError, ValueError) as exc:
+    except (OSError, DataFormatError, ZeroNormRowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal invariant failure

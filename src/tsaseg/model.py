@@ -30,9 +30,13 @@ the pooled anchors' rows; a gradient step reads the rows of its
 triplets' frames, outside which dL/dF and dL/dS vanish.
 
 While no hidden unit clips (every pre-activation > 0, as from the
-identity init on every benchmark video), the MLP is affine, and the
-backward pass takes both weight gradients from the one d x d product
-dZ^T X; once a unit clips, it applies the ReLU mask instead.
+identity init on every benchmark video), the MLP is affine. The forward
+pass then takes one N x d x d product, Z = X (W2 W1)^T + (W2 b1 + b2),
+for as long as an O(d^2) lower bound on the pre-activations, measured
+from the last exact pass, stays above its roundoff margin; otherwise it
+runs the MLP. The backward pass takes both weight gradients from the one
+d x d product dZ^T X; once a unit clips, it applies the ReLU mask
+instead. A step is then two N x d x d products, not three.
 
 A :class:`Workspace` is one video's training context: its features, its
 temporal band and the N x d buffers the chain writes in place, so a step
@@ -137,21 +141,34 @@ def init_model(
                     np.full(n_dims, -shift), np.zeros(n_frames))
 
 
+# Relative roundoff margin of the pre-activation bound: a computed
+# pre-activation x.w + b errs by at most about (d + 1) * 2.2e-16 times
+# R ||w|| + |b| (R = max ||x||), so 1e-8 covers any d below 10^7.
+BOUND_MARGIN = 1e-8
+
+
 @dataclass
 class Workspace:
     """One video's training context: its features, its temporal band and the chain's buffers.
 
-    ``X`` and ``band`` (see :func:`temporal_band`) are fixed per video.
-    The N x d buffers are allocated once: ``hid`` holds the hidden
-    layer's pre-activation, rectified in place to its output, ``Z`` the
-    learned rows, normalised in place to ``U``. ``dU`` holds dL/dU
-    divided by the row norms, turned in place into dL/dZ. ``tmp`` holds
-    rowdot * U, then, when a unit clipped, the error sent back through
-    W2 to the hidden layer's pre-activation. :func:`_forward_chain` sets
-    ``U``, ``norms``, ``alpha`` and ``linear`` at the current
-    parameters; the next call overwrites them. ``linear`` is true when
-    no hidden unit clipped (``hid.min() > 0``, false on a NaN too), and
-    picks the branch of :func:`_similarity_to_params`.
+    ``X`` and ``band`` (see :func:`temporal_band`) are fixed per video,
+    and so is ``x_norm``, the largest row norm R of X. The N x d buffers
+    are allocated once: ``hid`` holds the hidden layer's pre-activation,
+    rectified in place to its output, ``Z`` the learned rows, normalised
+    in place to ``U``. ``dU`` holds dL/dU divided by the row norms,
+    turned in place into dL/dZ. ``tmp`` holds rowdot * U, then, when a
+    unit clipped, the error sent back through W2 to the hidden layer's
+    pre-activation. :func:`_forward_chain` sets ``U``, ``norms``,
+    ``alpha`` and ``linear`` at the current parameters; the next call
+    overwrites them. ``linear`` is true when no hidden unit clipped, and
+    picks the branch of :func:`_similarity_to_params`; ``hid`` is fresh
+    only when it is false, and stale after a one-product forward.
+
+    ``W1_ref`` and ``b1_ref`` are the first-layer parameters of the last
+    exact forward pass in which no unit clipped, and ``pre_min`` its
+    per-unit minimum pre-activation, less that pass's roundoff margin:
+    the reference :func:`_preactivation_bound` measures from. They are
+    None until the first such pass.
     """
 
     X: np.ndarray
@@ -160,14 +177,19 @@ class Workspace:
     Z: np.ndarray
     dU: np.ndarray
     tmp: np.ndarray
+    x_norm: np.float64
     U: np.ndarray | None = None
     norms: np.ndarray | None = None
     alpha: np.ndarray | None = None
     linear: bool | None = None
+    W1_ref: np.ndarray | None = None
+    b1_ref: np.ndarray | None = None
+    pre_min: np.ndarray | None = None
 
     @classmethod
     def allocate(cls, X: np.ndarray, band: csr_matrix) -> "Workspace":
-        return cls(X, band, *(np.empty(X.shape) for _ in range(4)))
+        x_norm = np.sqrt(np.einsum("ij,ij->i", X, X).max())
+        return cls(X, band, *(np.empty(X.shape) for _ in range(4)), x_norm)
 
 
 def _mlp(model: TsaModel, X: np.ndarray, work: Workspace | None = None) -> np.ndarray:
@@ -227,15 +249,52 @@ def triplet_loss(f_ts: AffinityMatrix | np.ndarray, triplets: list[Triplet]) -> 
 # Differentiable chain: X -> Z -> cosine kernel -> row PDFs -> mix -> KL hinge
 # ---------------------------------------------------------------------------
 
+def _margin(work: Workspace, W1: np.ndarray, b1: np.ndarray) -> np.ndarray:
+    """Per unit, BOUND_MARGIN times the scale R ||W1_j|| + |b1_j| of its pre-activations."""
+    return BOUND_MARGIN * (work.x_norm * np.sqrt(np.einsum("ij,ij->i", W1, W1)) + np.abs(b1))
+
+
+def _preactivation_bound(model: TsaModel, work: Workspace) -> np.ndarray | None:
+    """A per-unit lower bound on the pre-activations X W1^T + b1 minus their roundoff margin.
+
+    Row i of unit j is ref_ij + x_i . (W1_j - W1_ref,j) + (b1_j - b1_ref,j),
+    where ref is the exact pre-activation at the reference, so it is at
+    least m_j - R ||W1_j - W1_ref,j|| - |b1_j - b1_ref,j|, with m_j the
+    reference's minimum (``pre_min``, its own margin already taken off)
+    and R the largest row norm of X. The margin of the current
+    parameters is taken off here. O(d^2); None before any reference.
+    """
+    if work.W1_ref is None:
+        return None
+    dW1 = model.W1 - work.W1_ref
+    return (work.pre_min - work.x_norm * np.sqrt(np.einsum("ij,ij->i", dW1, dW1))
+            - np.abs(model.b1 - work.b1_ref) - _margin(work, model.W1, model.b1))
+
+
 def _forward_chain(model: TsaModel, work: Workspace, config: RunConfig) -> None:
     """Run the per-frame part of the chain at the current parameters into ``work``.
 
+    While :func:`_preactivation_bound` is positive for every unit, no
+    unit can clip, the MLP is affine, and the learned rows take one
+    N x d x d product: Z = X (W2 W1)^T + (W2 b1 + b2). Otherwise it runs
+    :func:`_mlp`; when no unit clipped there (``hid.min() > 0``, false on
+    a NaN too), the current first layer becomes the bound's reference.
     Only N x d and length-N arrays are written; rows of the N-wide
     matrices come from :func:`_distribution_rows` for the frames that
     need them.
     """
-    Z = _mlp(model, work.X, work)
-    work.linear = bool(work.hid.min() > 0)  # false on a NaN too
+    bound = _preactivation_bound(model, work)
+    if bound is not None and bool(np.all(bound > 0)):
+        Z = np.matmul(work.X, (model.W2 @ model.W1).T, out=work.Z)
+        Z += model.W2 @ model.b1 + model.b2
+        work.linear = True
+    else:
+        Z = _mlp(model, work.X, work)
+        pre_min = work.hid.min(axis=0)
+        work.linear = bool(pre_min.min() > 0)  # false on a NaN too
+        if work.linear:
+            work.W1_ref, work.b1_ref = model.W1.copy(), model.b1.copy()
+            work.pre_min = pre_min - _margin(work, model.W1, model.b1)
     norms = np.sqrt(np.einsum("ij,ij->i", Z, Z))
     if np.any(norms == 0):
         i = int(np.argwhere(norms == 0)[0][0])

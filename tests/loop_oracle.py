@@ -14,10 +14,11 @@ unchanged apart from the scorers' input conversion and length check,
 ``_lloyd``'s stop on a repeated assignment (the same rule as the
 library's), so tests can require identical results.
 
-``tsaseg.triplet``'s ``positive_set`` sorts only the entries at or above
-the count-th largest, and ``negative_set`` drops the positives through a
-boolean mask. The full-row ``lexsort`` and ``np.isin`` versions they
-replaced are copied below unchanged.
+``tsaseg.triplet`` selects a whole block of anchor rows with a fixed
+number of array operations, and its ``positive_set`` and
+``negative_set`` are one-row calls of that code. The per-row full-row
+``lexsort`` and ``np.isin`` versions it replaced are copied below
+unchanged.
 """
 
 from __future__ import annotations

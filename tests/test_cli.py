@@ -447,6 +447,61 @@ class TestAliasedOutputs:
         self.assert_refused(argv, [flag, "is a directory"], capsys)
         assert list(directory.iterdir()) == []
 
+    @staticmethod
+    def unusable_output(tmp_path, parent):
+        """An output path whose parent is a regular file, or does not exist."""
+        if parent == "file":
+            (tmp_path / "afile").write_text("keep\n")
+            return tmp_path / "afile" / "out"
+        return tmp_path / "missing" / "out"
+
+    @pytest.mark.parametrize("parent", ["file", "missing"])
+    @pytest.mark.parametrize("flag", ["--out-z", "--out-model", "--log", "--dump-triplets"])
+    def test_train_output_in_no_directory(self, video_files, tmp_path, capsys, monkeypatch,
+                                          flag, parent):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before refusing the output")
+
+        monkeypatch.setattr("tsaseg.cli.train", no_training)
+        features, _ = video_files
+        outputs = {"--out-z": str(tmp_path / "z.bin"),
+                   flag: str(self.unusable_output(tmp_path, parent))}
+        argv = ["train", "--features", str(features)] + [a for kv in outputs.items() for a in kv]
+        self.assert_refused(argv, [flag, "directory"], capsys)
+
+    @pytest.mark.parametrize("parent", ["file", "missing"])
+    def test_segment_output_in_no_directory(self, tmp_path, capsys, monkeypatch, parent):
+        z = tmp_path / "z.bin"
+        assert main(["synth", "--out-features", str(z), "--out-labels", str(tmp_path / "l"),
+                     "--format", "binary"]) == 0
+
+        def no_segmenting(*args, **kwargs):
+            raise AssertionError("segmented before refusing the output")
+
+        monkeypatch.setattr("tsaseg.cli.segment_features", no_segmenting)
+        out = self.unusable_output(tmp_path, parent)
+        self.assert_refused(["segment", "--z", str(z), "--method", "equal", "--k", "2",
+                             "--out-labels", str(out)], ["--out-labels", "directory"], capsys)
+
+    @pytest.mark.parametrize("parent", ["file", "missing"])
+    def test_eval_output_in_no_directory(self, video_files, tmp_path, capsys, parent):
+        _, labels = video_files
+        out = self.unusable_output(tmp_path, parent)
+        assert main(["eval", "--pred", str(labels), "--gt", str(labels), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""  # refused before scoring
+        assert "--out" in captured.err and "directory" in captured.err
+
+    def test_failed_write_exits_1(self, video_files, tmp_path, capsys, monkeypatch):
+        def full_disk(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("tsaseg.cli.save_labels", full_disk)
+        z = tmp_path / "z.bin"
+        assert main(["synth", "--out-features", str(z), "--out-labels", str(tmp_path / "l"),
+                     "--format", "binary"]) == 1
+        assert "No space left on device" in capsys.readouterr().err
+
     def test_plot_output_links_to_gt(self, tmp_path, capsys):
         gt = tmp_path / "gt.txt"
         save_labels(np.array([0, 0, 1]), gt)

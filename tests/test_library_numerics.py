@@ -22,7 +22,7 @@ from tsaseg import cluster
 from tsaseg.cluster import KMEANS_RESTARTS, Segmentation, finch, kmeans, spectral
 from tsaseg.evaluate import MatchResult, contingency, f1, iou, mof, score
 from tsaseg.similarity import ROW_BLOCK
-from tsaseg.triplet import negative_set, positive_set
+from tsaseg.triplet import Triplet, negative_set, positive_set, select_triplets
 
 
 def labels_with_gaps(rng, n, k):
@@ -114,32 +114,43 @@ def star_of_pairs(groups=5, spokes=10, d=64, r=0.1, eps=1e-3, seed=0):
     return np.concatenate([centers + offset, centers - offset])
 
 
+ROW_KINDS = ("one_decimal", "two_decimals", "constant", "bimodal", "nan", "continuous")
+
+
+def selection_row(rng, n, kind):
+    """One affinity row of the given kind.
+
+    One or two decimals make most entries tie; bimodal rows (a few high
+    entries, the rest two tied low values) empty the negative band, so
+    the closest-to-mean fallback decides; NaN entries rank last among
+    the positives, and may outnumber the finite ones.
+    """
+    row = rng.uniform(0.0, 1.0, size=n)
+    if kind == "one_decimal":
+        row = np.round(row, 1)
+    elif kind == "two_decimals":
+        row = np.round(row, 2)
+    elif kind == "constant":
+        row = np.full(n, row[0])
+    elif kind == "bimodal":
+        row = np.where(row < 0.1, 20.0, np.where(row < 0.55, 1.0, 1.5))
+    elif kind == "nan":
+        row = np.where(rng.random(n) < rng.uniform(0.1, 0.95), np.nan, np.round(row, 1))
+    return row
+
+
+FRACTIONS = (0.01, 0.05, 0.3, 0.5, 0.9, 0.99)
+
+
 class TestSelectionMatchesOracle:
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 90),
-           kind=st.sampled_from(
-               ("one_decimal", "two_decimals", "constant", "bimodal", "nan", "continuous")
-           ),
-           fraction=st.sampled_from((0.01, 0.05, 0.3, 0.5, 0.9, 0.99)))
+           kind=st.sampled_from(ROW_KINDS), fraction=st.sampled_from(FRACTIONS))
     def test_sets_equal_full_sort(self, seed, n, kind, fraction):
-        # one or two decimals make most entries tie; a fraction of 0.99
-        # (and 0.9 below n = 20) hits the n - 2 cap on the positive count;
-        # bimodal rows (a few high entries, the rest two tied low values)
-        # empty the negative band, so the closest-to-mean fallback decides;
-        # NaN entries rank last among the positives, and may outnumber
-        # the finite ones; excluded indices outside [0, n) are ignored
+        # a fraction of 0.99 (and 0.9 below n = 20) hits the n - 2 cap on
+        # the positive count; excluded indices outside [0, n) are ignored
         rng = np.random.default_rng(seed)
-        row = rng.uniform(0.0, 1.0, size=n)
-        if kind == "one_decimal":
-            row = np.round(row, 1)
-        elif kind == "two_decimals":
-            row = np.round(row, 2)
-        elif kind == "constant":
-            row = np.full(n, row[0])
-        elif kind == "bimodal":
-            row = np.where(row < 0.1, 20.0, np.where(row < 0.55, 1.0, 1.5))
-        elif kind == "nan":
-            row = np.where(rng.random(n) < rng.uniform(0.1, 0.95), np.nan, np.round(row, 1))
+        row = selection_row(rng, n, kind)
         anchors = {0, n - 1, int(rng.integers(n))}
         for anchor in sorted(anchors):
             pos = positive_set(row, anchor, fraction)
@@ -149,6 +160,28 @@ class TestSelectionMatchesOracle:
                 neg = negative_set(row, anchor, exclude)
                 want_neg = loop_oracle.negative_set(row, anchor, exclude)
                 assert neg.dtype == want_neg.dtype and np.array_equal(neg, want_neg)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 90),
+           block=st.integers(1, ROW_BLOCK + 2), per_anchor=st.integers(1, 3),
+           fraction=st.sampled_from(FRACTIONS))
+    def test_block_selection_equals_row_loop(self, seed, n, block, per_anchor, fraction):
+        # a block of rows of mixed kinds, anchors drawn with repeats: the
+        # block operations must pick what one full sort per row picks
+        rng = np.random.default_rng(seed)
+        rows = np.array([selection_row(rng, n, kind) for kind in rng.choice(ROW_KINDS, block)])
+        anchors = rng.integers(0, n, size=block)
+        got = select_triplets(rows, anchors, np.random.default_rng(seed).spawn(block),
+                              per_anchor, fraction)
+        want = []
+        for row, anchor, child in zip(rows, anchors.tolist(),
+                                      np.random.default_rng(seed).spawn(block)):
+            positives = loop_oracle.positive_set(row, anchor, fraction)
+            negatives = loop_oracle.negative_set(row, anchor, positives)
+            for _ in range(per_anchor):
+                want.append(Triplet(anchor, int(child.choice(positives)),
+                                    int(child.choice(negatives))))
+        assert got == want
 
 
 class TestClusteringMatchesOracle:

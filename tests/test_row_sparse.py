@@ -24,6 +24,7 @@ from tsaseg.model import (
     _distribution_rows,
     _forward_chain,
     _loss_and_gradients,
+    _preactivation_bound,
     Workspace,
     _select_epoch_triplets,
     backward,
@@ -189,6 +190,77 @@ class TestGradientOracle:
 
         monkeypatch.setattr("tsaseg.model._distribution_rows", refuse)
         assert_gradients_match(backward(model, X, triplets, config, positions), want)
+
+
+def unclipped_instance(seed, n=40, d=6):
+    """A random instance whose pre-activations are all >= 0.1, and triplets clear of the kink."""
+    rng = np.random.default_rng(seed)
+    model, X, config, positions = random_instance(rng, n, d, True, per_anchor=2)
+    model.b1 += np.maximum(0.1 - (X @ model.W1.T + model.b1).min(axis=0), 0.0)
+    triplets = [Triplet(a, (a + 5) % n, (a + 17) % n) for a in range(0, n, 3)]
+    return model, X, config, positions, triplets
+
+
+def dense_gradients(model, X, positions, config, triplets):
+    """The dense oracle's gradients, on the triplets clear of the hinge kink, and those triplets."""
+    ft = temporal_distribution(X.shape[0], TemporalKernel(config.L), positions)
+    cache = dense_oracle._forward_chain(model, X, ft.rows, config)
+    triplets = [t for t, g in zip(triplets, hinge_gaps(cache["F"], triplets, False))
+                if abs(g) > 1e-6]
+    assert triplets
+    return dense_oracle._loss_and_gradients(model, cache, triplets, config)[1], triplets
+
+
+class TestForwardPath:
+    """The one-product forward pass runs only while the pre-activation bound holds."""
+
+    def test_failed_bound_without_clipping_runs_the_mlp(self):
+        model, X, config, positions, triplets = unclipped_instance(1)
+        work = chain(model, X, positions, config)
+        assert work.linear and np.array_equal(work.W1_ref, model.W1)
+        # a large move of W1 breaks the bound; b1 keeps every unit unclipped
+        model.W1 += 3.0 * np.random.default_rng(2).standard_normal(model.W1.shape)
+        model.b1 += np.maximum(0.1 - (X @ model.W1.T + model.b1).min(axis=0), 0.0)
+        assert _preactivation_bound(model, work).min() <= 0
+        _forward_chain(model, work, config)
+        assert work.linear
+        assert np.array_equal(work.W1_ref, model.W1)  # the exact pass took a new reference
+        want, triplets = dense_gradients(model, X, positions, config, triplets)
+        assert_gradients_match(_loss_and_gradients(model, work, triplets, config)[1], want)
+
+    def test_unit_clipping_after_the_reference_takes_the_mask_branch(self):
+        model, X, config, positions, triplets = unclipped_instance(3)
+        work = chain(model, X, positions, config)
+        reference = work.W1_ref.copy()
+        # unit 0's pre-activation now straddles zero: some frames clip
+        pre = X @ model.W1[0] + model.b1[0]
+        model.b1[0] -= (pre.min() + pre.max()) / 2.0
+        _forward_chain(model, work, config)
+        assert not work.linear
+        assert np.array_equal(work.W1_ref, reference)  # a clipped pass is no reference
+        want, triplets = dense_gradients(model, X, positions, config, triplets)
+        assert_gradients_match(_loss_and_gradients(model, work, triplets, config)[1], want)
+
+    def test_step_in_a_built_workspace_takes_one_product(self, monkeypatch):
+        model, X, config, positions, triplets = unclipped_instance(5)
+        work = chain(model, X, positions, config)
+        reference = work.W1_ref.copy()
+        _, grads = _loss_and_gradients(model, work, triplets, config)
+        for name, param in model.param_items():
+            param -= 0.01 * grads[name]
+        assert _preactivation_bound(model, work).min() > 0
+
+        def refuse(*args):
+            raise AssertionError("the forward pass ran the MLP")
+
+        with monkeypatch.context() as patch:
+            patch.setattr("tsaseg.model._mlp", refuse)
+            _forward_chain(model, work, config)
+        assert work.linear and np.array_equal(work.W1_ref, reference)
+        want, triplets = dense_gradients(model, X, positions, config, triplets)
+        got = _loss_and_gradients(model, work, triplets, config)[1]
+        assert_gradients_match(got, want)
+        assert_gradients_match(got, backward(model, X, triplets, config, positions))
 
 
 class TestEpochHead:

@@ -14,14 +14,18 @@ BLAS thread, the four parts of an epoch of the checkout's ``src/``:
   reads a head computed beforehand), and ``select_per_anchor_ms``;
   ``select_peak_mib`` is its tracemalloc peak, from one more call that
   is not timed;
-- ``forward_ms``: ``model._forward_chain``, once per step;
+- ``forward_ms``: ``model._forward_chain``, once per step, and
+  ``forward_path``, the path those timed calls took: ``one_product``
+  (the bounded affine map), ``exact`` (the MLP) or ``mixed``;
 - ``loss_and_gradients_ms``: ``model._loss_and_gradients`` on the first
   step's batch.
 
 Each timing is the median of ``--repeats`` runs, in milliseconds.
-At the identity init no hidden unit clips, so the step takes the
-backward pass's one-product branch (``Workspace.linear``), the branch
-training runs on every benchmark video.
+At the identity init no hidden unit clips: the first forward pass,
+untimed, is exact and takes the reference of the pre-activation bound,
+so the timed ones take the one-product path, and the step takes the
+backward pass's one-product branch (``Workspace.linear``). These are
+the paths training runs on every benchmark video.
 Run it on two checkouts with the same arguments to compare them.
 """
 
@@ -103,7 +107,16 @@ def measure(model, frames: int, dims: int, preset: str, repeats: int) -> dict:
     result["select_per_anchor_ms"] = result["select_ms"] / anchors
 
     batch = triplets[: config.per_anchor]
-    result["forward_ms"] = _median_ms(lambda: model._forward_chain(params, work, config), repeats)
+    exact_calls = []
+    mlp = model._mlp
+    model._mlp = lambda *args: exact_calls.append(1) or mlp(*args)
+    try:
+        result["forward_ms"] = _median_ms(
+            lambda: model._forward_chain(params, work, config), repeats
+        )
+    finally:
+        model._mlp = mlp
+    result["forward_path"] = {0: "one_product", repeats: "exact"}.get(len(exact_calls), "mixed")
     result["loss_and_gradients_ms"] = _median_ms(
         lambda: model._loss_and_gradients(params, work, batch, config), repeats
     )
