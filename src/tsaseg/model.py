@@ -36,7 +36,10 @@ for as long as an O(d^2) lower bound on the pre-activations, measured
 from the last exact pass, stays above its roundoff margin; otherwise it
 runs the MLP. The backward pass takes both weight gradients from the one
 d x d product dZ^T X; once a unit clips, it applies the ReLU mask
-instead. A step is then two N x d x d products, not three.
+instead. A step whose batch has an active hinge is then two N x d x d
+products, not three. A step with none has an exactly-zero gradient,
+which it returns without a backward pass: it costs the forward pass and
+the rows its loss reads.
 
 A :class:`Workspace` is one video's training context: its features, its
 temporal band and the N x d buffers the chain writes in place, so a step
@@ -387,7 +390,10 @@ def _loss_and_gradients(
 
     Only the rows R = anchors | positives | negatives of the N-wide
     matrices are built; dL/dF and dL/dS vanish outside them. Raises
-    DivergenceError if the loss or any gradient is non-finite.
+    DivergenceError if the loss or any gradient is non-finite; the loss
+    is checked first, since a NaN gap is not active. When no gap is
+    above 0 every hinge coefficient is 0, so the loss comes back with an
+    exactly-zero gradient for every block and no backward pass runs.
     """
     if not triplets:
         raise ValueError("empty triplet list")
@@ -395,7 +401,6 @@ def _loss_and_gradients(
     frames = np.array([(t.anchor, t.positive, t.negative) for t in triplets]).T.ravel()
     index, local = np.unique(frames, return_inverse=True)
     ai, pi, ni = local.reshape(3, n_t)
-    da_raw = np.zeros_like(model.a_raw)
 
     if config.loss_features == "pdf":
         rows = _distribution_rows(work, index, config)
@@ -404,29 +409,34 @@ def _loss_and_gradients(
         kl_pos = np.einsum("tk,tk->t", F[ai], logF[ai] - logF[pi])
         kl_neg = np.einsum("tk,tk->t", F[ai], logF[ai] - logF[ni])
         gaps = kl_pos - kl_neg
-        active = gaps > 0
-        loss = float(np.maximum(gaps, 0.0).mean())
-        coeff = active.astype(np.float64) / n_t
+    else:  # raw cosine-distance triplet loss: only the cosine rows, no PDFs
+        S = work.U[index] @ work.U.T
+        p, q = index[pi], index[ni]
+        gaps = S[ai, q] - S[ai, p]
+    active = gaps > 0
+    loss = float(np.maximum(gaps, 0.0).mean())
+    if not math.isfinite(loss):
+        raise DivergenceError("non-finite loss")
+    if not active.any():
+        return loss, {name: np.zeros_like(param) for name, param in model.param_items()}
+
+    coeff = active.astype(np.float64) / n_t
+    da_raw = np.zeros_like(model.a_raw)
+    if config.loss_features == "pdf":
         dF = np.zeros_like(F)
         np.add.at(dF, ai, coeff[:, None] * (logF[ni] - logF[pi]))
         np.add.at(dF, pi, coeff[:, None] * (-F[ai] / F[pi]))
         np.add.at(dF, ni, coeff[:, None] * (F[ai] / F[ni]))
         dS, da_raw[index] = _pdf_chain_to_similarity(rows, dF, config)
-    else:  # raw cosine-distance triplet loss: only the cosine rows, no PDFs
-        S = work.U[index] @ work.U.T
-        p, q = index[pi], index[ni]
-        gaps = S[ai, q] - S[ai, p]
-        active = gaps > 0
-        loss = float(np.maximum(gaps, 0.0).mean())
-        coeff = active.astype(np.float64) / n_t
+    else:
         dS = np.zeros_like(S)
         np.add.at(dS, (ai, q), coeff)
         np.add.at(dS, (ai, p), -coeff)
 
     grads = _similarity_to_params(model, work, index, dS)
     grads["a_raw"] = da_raw
-    if not math.isfinite(loss) or not all(np.all(np.isfinite(g)) for g in grads.values()):
-        raise DivergenceError("non-finite loss or gradient")
+    if not all(np.all(np.isfinite(g)) for g in grads.values()):
+        raise DivergenceError("non-finite gradient")
     return loss, grads
 
 
@@ -594,11 +604,13 @@ def train(
     batch's frames rebuilt, so gradients stay exact).
     Steps use a learning rate decayed by LR_DECAY per epoch, constant
     within an epoch, and decoupled L2 weight decay: every parameter block
-    shrinks by 1 - lr*2*WEIGHT_DECAY per step. The recorded epoch loss
-    is the mean of its batch losses. Training starts from the identity
-    map (see :func:`init_model`) and stops at max_epochs, or once the
-    epoch loss moved by less than epsilon_stop for PATIENCE epochs in a
-    row (so no earlier than epoch PATIENCE + 1).
+    shrinks by 1 - lr*2*WEIGHT_DECAY per step. A step whose batch has no
+    active hinge has a gradient of +0.0 everywhere and applies only the
+    weight decay. The recorded epoch loss is the mean of its batch
+    losses. Training starts from the identity map (see
+    :func:`init_model`) and stops at max_epochs, or once the epoch loss
+    moved by less than epsilon_stop for PATIENCE epochs in a row (so no
+    earlier than epoch PATIENCE + 1).
 
     A non-finite loss or gradient (or a learned row collapsing to zero
     norm, where cosine similarity is undefined) aborts the run and

@@ -21,7 +21,7 @@ from tsaseg.model import (
     training_loss,
     triplet_loss,
 )
-from tsaseg.similarity import AffinityMatrix
+from tsaseg.similarity import AffinityMatrix, TemporalKernel, frame_positions, temporal_band
 from tsaseg.triplet import Triplet
 from tsaseg.synth import SynthSpec, generate
 
@@ -225,19 +225,37 @@ class TestBackward:
         numeric = finite_difference_gradients(model, X, triplets, config)
         assert max_relative_error(analytic, numeric) < 1e-4
 
-    def test_zero_loss_zero_gradients(self, rng):
+    @pytest.mark.parametrize("loss_features", ["pdf", "raw"])
+    def test_zero_loss_zero_gradients(self, rng, monkeypatch, loss_features):
         # a positive with the anchor's exact feature vector keeps the hinge
-        # inactive (KL to the positive is 0); semantic-only mode so the
-        # temporal prior cannot separate the two rows
+        # inactive (KL to the positive is 0, cosine similarity 1);
+        # semantic-only mode so the temporal prior cannot separate the rows
         X = rng.standard_normal((12, 4))
         X[1] = X[0]
-        config = RunConfig(L=4, batch_size=4, similarity_mode="semantic_only")
+        config = RunConfig(L=4, batch_size=4, similarity_mode="semantic_only",
+                           loss_features=loss_features)
         model = init_model(4, 12, rng, scheme="identity", X=X)
         triplets = [Triplet(0, 1, 6)]
         assert training_loss(model, X, triplets, config) == 0.0
-        grads = backward(model, X, triplets, config)
-        for g in grads.values():
-            assert np.all(g == 0.0)
+
+        # an inactive hinge returns its zero gradients without a backward pass
+        def refuse(*args):
+            raise AssertionError("backward pass ran on an inactive hinge")
+
+        monkeypatch.setattr(model_module, "_pdf_chain_to_similarity", refuse)
+        monkeypatch.setattr(model_module, "_similarity_to_params", refuse)
+        band = temporal_band(frame_positions(12, None), TemporalKernel(config.L))
+        work = model_module.Workspace.allocate(X, band)
+        model_module._forward_chain(model, work, config)
+        loss, grads = model_module._loss_and_gradients(model, work, triplets, config)
+        assert loss == 0.0
+        for got in (grads, backward(model, X, triplets, config)):
+            assert got.keys() == {name for name, _ in model.param_items()}
+            for name, param in model.param_items():
+                assert got[name].shape == param.shape
+                assert got[name].dtype == param.dtype
+                # +0.0 everywhere, so the descent step leaves every bit as it is
+                assert np.all(got[name] == 0.0) and not np.any(np.signbit(got[name]))
 
     def test_alpha_gradient_saturates(self):
         model, X, triplets, config = generic_instance(3)

@@ -18,13 +18,17 @@ BLAS thread, the four parts of an epoch of the checkout's ``src/``:
   ``forward_path``, the path those timed calls took: ``one_product``
   (the bounded affine map), ``exact`` (the MLP) or ``mixed``;
 - ``loss_and_gradients_ms``: ``model._loss_and_gradients`` on the first
-  step's batch.
+  batch whose hinge is active (a positive loss), which runs the backward
+  pass, and ``inactive_step_ms`` on the first batch whose hinge is not,
+  which returns zero gradients without it; ``active_batches`` counts the
+  epoch's batches with an active hinge at these parameters. A timing is
+  null when the epoch has no batch of its kind.
 
 Each timing is the median of ``--repeats`` runs, in milliseconds.
 At the identity init no hidden unit clips: the first forward pass,
 untimed, is exact and takes the reference of the pre-activation bound,
-so the timed ones take the one-product path, and the step takes the
-backward pass's one-product branch (``Workspace.linear``). These are
+so the timed ones take the one-product path, and an active step takes
+the backward pass's one-product branch (``Workspace.linear``). These are
 the paths training runs on every benchmark video.
 Run it on two checkouts with the same arguments to compare them.
 """
@@ -106,7 +110,6 @@ def measure(model, frames: int, dims: int, preset: str, repeats: int) -> dict:
     result["anchors"] = anchors
     result["select_per_anchor_ms"] = result["select_ms"] / anchors
 
-    batch = triplets[: config.per_anchor]
     exact_calls = []
     mlp = model._mlp
     model._mlp = lambda *args: exact_calls.append(1) or mlp(*args)
@@ -117,9 +120,17 @@ def measure(model, frames: int, dims: int, preset: str, repeats: int) -> dict:
     finally:
         model._mlp = mlp
     result["forward_path"] = {0: "one_product", repeats: "exact"}.get(len(exact_calls), "mixed")
-    result["loss_and_gradients_ms"] = _median_ms(
-        lambda: model._loss_and_gradients(params, work, batch, config), repeats
-    )
+
+    def step(batch):
+        return model._loss_and_gradients(params, work, batch, config)
+
+    batches = [triplets[i : i + config.per_anchor]
+               for i in range(0, len(triplets), config.per_anchor)]
+    active = [step(batch)[0] > 0 for batch in batches]
+    result["active_batches"] = sum(active)
+    for key, kind in (("loss_and_gradients_ms", True), ("inactive_step_ms", False)):
+        batch = next((b for b, a in zip(batches, active) if a is kind), None)
+        result[key] = None if batch is None else _median_ms(lambda: step(batch), repeats)
     return result
 
 
