@@ -29,6 +29,9 @@ from .similarity import ROW_BLOCK, _unit_rows, cosine_similarity_matrix
 KMEANS_RESTARTS = 10  # k-means++ seedings per call; the lowest WCSS wins
 KMEANS_MAX_ITER = 300  # Lloyd iterations per seeding
 AFFINITY_SMOOTHING = 1e-10  # added to every spectral affinity so no degree is 0
+# Bound on the computed cosine distance between equal unit rows: 1 - u.u
+# rounds off by a small multiple of d * 2.2e-16, so 1e-8 holds for d < 10^7.
+TIE_ROUNDOFF = 1e-8
 
 
 @dataclass(frozen=True)
@@ -158,7 +161,11 @@ def _first_neighbors(points: np.ndarray) -> np.ndarray:
     """Each point's nearest other point by cosine distance; the first index wins a tie.
 
     The distance rows are built ROW_BLOCK rows at a time in one reused
-    block, so no N x N array is held.
+    block, so no N x N array is held. Points with equal unit rows are at
+    distance exactly 0: the product's roundoff depends on where a row
+    falls in the block, so only then does the first duplicate win
+    however the rows are blocked. Such roundoff is below TIE_ROUNDOFF, so
+    only rows with a distance that small are checked for equal rows.
     """
     n = points.shape[0]
     unit = _unit_rows(points)
@@ -170,6 +177,10 @@ def _first_neighbors(points: np.ndarray) -> np.ndarray:
         np.subtract(1.0, dist, out=dist)
         dist[np.arange(stop - start), np.arange(start, stop)] = np.inf
         nn[start:stop] = np.argmin(dist, axis=1)
+        for row in np.flatnonzero(dist[np.arange(stop - start), nn[start:stop]] <= TIE_ROUNDOFF):
+            near = np.flatnonzero(dist[row] <= TIE_ROUNDOFF)
+            dist[row, near[np.all(unit[near] == unit[start + row], axis=1)]] = 0.0
+            nn[start + row] = np.argmin(dist[row])
     return nn
 
 

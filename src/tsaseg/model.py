@@ -22,12 +22,12 @@ Training keeps no N x N state. The per-frame part of the chain (MLP
 activations, learned rows and their unit vectors) is N x d; rows of the
 N-wide similarity, kernel and distribution matrices are built only for
 the frames that read them. The temporal PDF does not depend on the
-parameters: it is built once per video as a band of O(N L) entries, and
-its rows are gathered from it. Pooling reads diag(F), which needs no row
-of F, only the kernel row sums; the kernel is symmetric, so the epoch
-head builds each pair once, ROW_BLOCK rows at a time. Selection reads
-the pooled anchors' rows; a gradient step reads the rows of its
-triplets' frames, outside which dL/dF and dL/dS vanish.
+parameters: ``similarity`` evaluates its rows from the kernel when they
+are read, so nothing stored grows with L. Pooling reads diag(F), which
+needs no row of F, only the kernel row sums; the kernel is symmetric, so
+the epoch head builds each pair once, ROW_BLOCK rows at a time.
+Selection reads the pooled anchors' rows; a gradient step reads the
+rows of its triplets' frames, outside which dL/dF and dL/dS vanish.
 
 While no hidden unit clips (every pre-activation > 0, as from the
 identity init on every benchmark video), the MLP is affine. The forward
@@ -42,8 +42,8 @@ which it returns without a backward pass: it costs the forward pass and
 the rows its loss reads.
 
 A :class:`Workspace` is one video's training context: its features, its
-temporal band and the N x d buffers the chain writes in place, so a step
-allocates no N x d array. :func:`train` allocates one per video,
+frame positions and the N x d buffers the chain writes in place, so a
+step allocates no N x d array. :func:`train` allocates one per video,
 :func:`backward` one per call, and both run the same step on it;
 :func:`forward` runs the MLP on fresh arrays.
 :func:`combined_distribution` and :func:`training_loss` build the dense
@@ -57,7 +57,6 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.sparse import csr_matrix
 from scipy.special import expit
 
 from .data_io import FeatureMatrix, RunConfig, as_values
@@ -68,13 +67,13 @@ from .similarity import (
     TemporalKernel,
     ZeroNormRowError,
     as_rows,
-    band_rows,
     combine,
     cosine_similarity_matrix,
     frame_positions,
     semantic_distribution,
-    temporal_band,
+    temporal_diagonal,
     temporal_distribution,
+    temporal_rows,
 )
 from .triplet import Triplet, pool_anchors, select_triplets
 
@@ -152,10 +151,11 @@ BOUND_MARGIN = 1e-8
 
 @dataclass
 class Workspace:
-    """One video's training context: its features, its temporal band and the chain's buffers.
+    """One video's training context: its features, its frame positions and the chain's buffers.
 
-    ``X`` and ``band`` (see :func:`temporal_band`) are fixed per video,
-    and so is ``x_norm``, the largest row norm R of X. The N x d buffers
+    ``X``, ``positions``, the temporal ``kernel``, ``ft_ii`` (the temporal
+    PDF's diagonal) and ``x_norm`` (the largest row norm R of X) are
+    fixed per video; no field's size depends on L. The N x d buffers
     are allocated once: ``hid`` holds the hidden layer's pre-activation,
     rectified in place to its output, ``Z`` the learned rows, normalised
     in place to ``U``. ``dU`` holds dL/dU divided by the row norms,
@@ -175,7 +175,9 @@ class Workspace:
     """
 
     X: np.ndarray
-    band: csr_matrix
+    positions: np.ndarray
+    kernel: TemporalKernel
+    ft_ii: np.ndarray
     hid: np.ndarray
     Z: np.ndarray
     dU: np.ndarray
@@ -190,9 +192,11 @@ class Workspace:
     pre_min: np.ndarray | None = None
 
     @classmethod
-    def allocate(cls, X: np.ndarray, band: csr_matrix) -> "Workspace":
+    def allocate(cls, X: np.ndarray, positions: np.ndarray | None, L: int) -> "Workspace":
+        positions, kernel = frame_positions(X.shape[0], positions), TemporalKernel(L)
         x_norm = np.sqrt(np.einsum("ij,ij->i", X, X).max())
-        return cls(X, band, *(np.empty(X.shape) for _ in range(4)), x_norm)
+        return cls(X, positions, kernel, temporal_diagonal(positions, kernel),
+                   *(np.empty(X.shape) for _ in range(4)), x_norm)
 
 
 def _mlp(model: TsaModel, X: np.ndarray, work: Workspace | None = None) -> np.ndarray:
@@ -323,7 +327,7 @@ def _distribution_rows(work: Workspace, index: np.ndarray, config: RunConfig) ->
     FS /= config.h
     np.exp(FS, out=FS)
     FS /= FS.sum(axis=1)[:, None]
-    ft = band_rows(work.band, index)
+    ft = temporal_rows(work.positions, work.kernel, index)
     alpha = work.alpha[index]
     F = alpha[:, None] * ft
     F += (1.0 - alpha[:, None]) * FS
@@ -360,7 +364,7 @@ def _diagonal(work: Workspace, config: RunConfig) -> np.ndarray:
         sk[start:stop] += K.sum(axis=1)
         sk[stop:] += K[:, rows:].sum(axis=0)
         k_ii[start:stop] = K[np.arange(rows), np.arange(rows)]
-    mixed = alpha * work.band.diagonal() + (1.0 - alpha) * (k_ii / sk)
+    mixed = alpha * work.ft_ii + (1.0 - alpha) * (k_ii / sk)
     return (mixed + KL_SMOOTHING) / (1.0 + n * KL_SMOOTHING)
 
 
@@ -567,8 +571,7 @@ def backward(
     """
     values = as_values(X)
     _check_frames(model, values.shape[0], triplets)
-    band = temporal_band(frame_positions(values.shape[0], positions), TemporalKernel(config.L))
-    work = Workspace.allocate(values, band)
+    work = Workspace.allocate(values, positions, config.L)
     _forward_chain(model, work, config)
     return _loss_and_gradients(model, work, triplets, config)[1]
 
@@ -628,8 +631,7 @@ def train(
         )
     master = np.random.default_rng(config.seed)
     model = init_model(n_dims, n_frames, master, scheme="identity", X=values)
-    band = temporal_band(frame_positions(n_frames, positions), TemporalKernel(config.L))
-    work = Workspace.allocate(values, band)
+    work = Workspace.allocate(values, positions, config.L)
     state = TrainState()
     for epoch in range(1, config.max_epochs + 1):
         lr = config.learning_rate * LR_DECAY ** (epoch - 1)

@@ -4,11 +4,10 @@ Three row-stochastic N x N matrices are built here: a semantic
 distribution from an exponential kernel over cosine similarity, a
 temporal distribution from a decaying window kernel, and their per-frame
 convex combination. Every row is a PDF over frames. The temporal kernel
-is non-zero only within L/2 of a frame, so its distribution is built
-once as a banded sparse matrix (:func:`temporal_band`) of O(N L)
-entries; the dense :func:`temporal_distribution` is a view of the same
-band, and the training engine gathers the rows it needs from it
-(:func:`band_rows`).
+is non-zero only within L/2 of a frame, so each row of its distribution
+is evaluated over that window alone, when it is read
+(:func:`temporal_rows`), and nothing of size O(N L) is stored;
+:func:`temporal_distribution` is every row at once.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .data_io import FeatureMatrix, as_values
 
@@ -139,50 +137,50 @@ def frame_positions(n_frames: int, positions: np.ndarray | None = None) -> np.nd
     return positions
 
 
-def _spans(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The integer ranges [starts[i], starts[i] + counts[i]) laid end to end."""
-    return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+def _window(positions: np.ndarray, kernel: TemporalKernel, index: np.ndarray) -> tuple:
+    """(row in ``index``, column, PDF entry) for each frame within L/2 of frames ``index``.
 
-
-def temporal_band(positions: np.ndarray, kernel: TemporalKernel) -> csr_matrix:
-    """The temporal distribution over frames at strictly increasing ``positions``, as sparse CSR.
-
-    Row i is the clipped kernel max(0, w(|p_i - p_j|)) normalized to a
-    PDF. It is evaluated only for the frames j within L/2 of frame i,
-    found by binary search; the band is closed, since w(L/2) rounds to
-    2.2e-16 rather than 0 for some L (7 and 14). Entries the clip zeroes
-    are not stored, so the band holds O(N L) entries.
+    Row i's entries are the clipped kernel max(0, w(|p_i - p_j|)) over its
+    window, found by binary search and closed, since w(L/2) rounds to
+    2.2e-16 rather than 0 for some L (7 and 14), and divided by their sum.
+    ``bincount`` adds a row's entries in column order, so its bytes do not
+    depend on the other rows of the call.
     """
-    n = positions.size
     reach = kernel.L / 2.0 * (1.0 + BAND_SLACK)
-    lo = np.searchsorted(positions, positions - reach, side="left")
-    widths = np.searchsorted(positions, positions + reach, side="right") - lo
-    rows = np.repeat(np.arange(n), widths)
-    cols = _spans(lo, widths)
-    weights = np.maximum(temporal_weight(np.abs(positions[rows] - positions[cols]), kernel), 0.0)
-    keep = weights > 0
-    rows, cols, weights = rows[keep], cols[keep], weights[keep]
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-    sums = np.bincount(rows, weights, minlength=n)
-    return csr_matrix((weights / sums[rows], cols, indptr), shape=(n, n))
+    own = positions[index]
+    lo = np.searchsorted(positions, own - reach, side="left")
+    widths = np.searchsorted(positions, own + reach, side="right") - lo
+    rows = np.repeat(np.arange(index.size), widths)
+    cols = np.arange(widths.sum()) + np.repeat(lo - np.cumsum(widths) + widths, widths)
+    weights = np.maximum(temporal_weight(np.abs(own[rows] - positions[cols]), kernel), 0.0)
+    return rows, cols, weights / np.bincount(rows, weights)[rows]
 
 
-def band_rows(band: csr_matrix, index: np.ndarray) -> np.ndarray:
-    """Rows ``index`` of a CSR matrix as a dense len(index) x N array, gathered with numpy."""
-    starts = band.indptr[index]
-    counts = band.indptr[index + 1] - starts
-    entries = _spans(starts, counts)
-    out = np.zeros((index.size, band.shape[1]))
-    out[np.repeat(np.arange(index.size), counts), band.indices[entries]] = band.data[entries]
+def temporal_rows(positions: np.ndarray, kernel: TemporalKernel, index: np.ndarray) -> np.ndarray:
+    """Rows ``index`` of the temporal PDF over frames at increasing ``positions``, dense."""
+    rows, cols, entries = _window(positions, kernel, index)
+    out = np.zeros((index.size, positions.size))
+    out[rows, cols] = entries
     return out
+
+
+def temporal_diagonal(positions: np.ndarray, kernel: TemporalKernel) -> np.ndarray:
+    """The diagonal of the temporal PDF, from the windows of ROW_BLOCK rows at a time."""
+    diag = np.empty(positions.size)
+    for start in range(0, positions.size, ROW_BLOCK):
+        index = np.arange(start, min(start + ROW_BLOCK, positions.size))
+        rows, cols, entries = _window(positions, kernel, index)
+        diag[index] = entries[cols == start + rows]
+    return diag
 
 
 def temporal_distribution(
     n_frames: int, kernel: TemporalKernel, positions: np.ndarray | None = None
 ) -> AffinityMatrix:
-    """Row-normalized clipped temporal kernel over frame distance: the dense :func:`temporal_band`.
+    """Row-normalized clipped temporal kernel over frame distance, as one dense matrix.
 
-    Negative weights (distances beyond L/2) are clipped to zero before
+    Every row is built as :func:`temporal_rows` builds it. Negative
+    weights (distances beyond L/2) are clipped to zero before
     normalization so that each row remains a PDF; the diagonal weight
     w(0) = 1 keeps every row normalizable.
 
@@ -191,7 +189,7 @@ def temporal_distribution(
     (distances are then measured in original frame units).
     """
     positions = frame_positions(n_frames, positions)
-    return AffinityMatrix(temporal_band(positions, kernel).toarray(), kind="temporal")
+    return AffinityMatrix(temporal_rows(positions, kernel, np.arange(n_frames)), kind="temporal")
 
 
 def combine(

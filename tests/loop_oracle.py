@@ -54,6 +54,10 @@ def _first_neighbor_partition(points: np.ndarray) -> np.ndarray:
     """Connected components of the first-nearest-neighbor graph (cosine)."""
     n = points.shape[0]
     dist = _cosine_distance_matrix(points)
+    # rows with equal unit vectors are at distance exactly 0, as in ``tsaseg.cluster``
+    unit = points / np.linalg.norm(points, axis=1)[:, None]
+    ids = np.unique(unit, axis=0, return_inverse=True)[1]
+    dist[ids[:, None] == ids[None, :]] = 0.0
     np.fill_diagonal(dist, np.inf)
     nn = np.argmin(dist, axis=1)
     # union-find over edges i-j with j = nn(i), i = nn(j), or nn(i) = nn(j)

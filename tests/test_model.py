@@ -21,7 +21,7 @@ from tsaseg.model import (
     training_loss,
     triplet_loss,
 )
-from tsaseg.similarity import AffinityMatrix, TemporalKernel, frame_positions, temporal_band
+from tsaseg.similarity import AffinityMatrix
 from tsaseg.triplet import Triplet
 from tsaseg.synth import SynthSpec, generate
 
@@ -244,8 +244,7 @@ class TestBackward:
 
         monkeypatch.setattr(model_module, "_pdf_chain_to_similarity", refuse)
         monkeypatch.setattr(model_module, "_similarity_to_params", refuse)
-        band = temporal_band(frame_positions(12, None), TemporalKernel(config.L))
-        work = model_module.Workspace.allocate(X, band)
+        work = model_module.Workspace.allocate(X, None, config.L)
         model_module._forward_chain(model, work, config)
         loss, grads = model_module._loss_and_gradients(model, work, triplets, config)
         assert loss == 0.0

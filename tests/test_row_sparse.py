@@ -36,8 +36,6 @@ from tsaseg.model import (
 from tsaseg.similarity import (
     TemporalKernel,
     ZeroNormRowError,
-    frame_positions,
-    temporal_band,
     temporal_distribution,
 )
 from tsaseg.synth import SynthSpec, generate
@@ -68,8 +66,7 @@ def random_instance(rng, n, d, positions_gapped, **config_kw):
 
 def chain(model, X, positions, config):
     """A workspace built as the training engine builds it, holding the chain at ``model``."""
-    band = temporal_band(frame_positions(X.shape[0], positions), TemporalKernel(config.L))
-    work = Workspace.allocate(X, band)
+    work = Workspace.allocate(X, positions, config.L)
     _forward_chain(model, work, config)
     return work
 
@@ -468,13 +465,19 @@ class TestMemoryScaling:
 
 
 class TestWorkspace:
+    @staticmethod
+    def array_shapes(work):
+        return {f.name: getattr(work, f.name).shape for f in fields(work)
+                if isinstance(getattr(work, f.name), np.ndarray)}
+
     def test_allocate_holds_four_feature_sized_buffers(self):
         X = np.ones((7, 3))
-        work = Workspace.allocate(X, temporal_band(frame_positions(7, None), TemporalKernel(3)))
-        buffers = [f.name for f in fields(work)
-                   if f.name != "X" and getattr(work, f.name) is not None
-                   and getattr(work, f.name).shape == X.shape]
-        assert buffers == ["hid", "Z", "dU", "tmp"]
+        shapes = self.array_shapes(Workspace.allocate(X, None, 3))
+        assert [name for name, shape in shapes.items() if name != "X" and shape == X.shape] \
+            == ["hid", "Z", "dU", "tmp"]
+        # no stored array grows with the window: the narrowest and the widest agree
+        assert self.array_shapes(Workspace.allocate(X, None, 1)) == shapes
+        assert self.array_shapes(Workspace.allocate(X, None, X.shape[0] - 1)) == shapes
 
     def test_step_in_a_built_workspace_allocates_less_than_one_feature_matrix(self):
         n, d = 1500, 64

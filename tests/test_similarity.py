@@ -6,15 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsaseg.model import Workspace
 from tsaseg.similarity import (
     KL_SMOOTHING,
+    ROW_BLOCK,
     AffinityMatrix,
     TemporalKernel,
     ZeroNormRowError,
     combine,
     semantic_distribution,
-    temporal_band,
+    temporal_diagonal,
     temporal_distribution,
+    temporal_rows,
     temporal_weight,
 )
 
@@ -168,29 +171,55 @@ def kernel_formula(positions, kernel):
     return weights / weights.sum(axis=1, keepdims=True)
 
 
+SPACINGS = ("integer", "half_frames", "tenths", "float")
+
+
+def spaced_positions(rng, n, spacing):
+    """n strictly increasing frame positions of one of the SPACINGS."""
+    if spacing == "integer":  # consecutive frames from an arbitrary start
+        return np.arange(n, dtype=np.float64) + rng.integers(0, 1000)
+    if spacing == "half_frames":  # gapped, with distances of exactly L/2 for odd L
+        return np.sort(rng.choice(4 * n, size=n, replace=False)) / 2.0
+    if spacing == "tenths":  # rounded steps: p_i + L/2 and p_j differ in the last bit
+        return (np.arange(n) + rng.integers(0, 1000)) * 0.1
+    return np.cumsum(rng.uniform(0.05, 3.0, size=n))  # gapped at arbitrary float steps
+
+
 class TestTemporalBand:
     @settings(max_examples=200, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(2, 60),
         L=st.integers(1, 20),
-        spacing=st.sampled_from(("integer", "half_frames", "tenths", "float")),
+        spacing=st.sampled_from(SPACINGS),
     )
     def test_equals_kernel_formula(self, seed, n, L, spacing):
-        rng = np.random.default_rng(seed)
-        if spacing == "integer":  # consecutive frames from an arbitrary start
-            positions = np.arange(n, dtype=np.float64) + rng.integers(0, 1000)
-        elif spacing == "half_frames":  # gapped, with distances of exactly L/2 for odd L
-            positions = np.sort(rng.choice(4 * n, size=n, replace=False)) / 2.0
-        elif spacing == "tenths":  # rounded steps: p_i + L/2 and p_j differ in the last bit
-            positions = (np.arange(n) + rng.integers(0, 1000)) * 0.1
-        else:  # gapped at arbitrary float steps
-            positions = np.cumsum(rng.uniform(0.05, 3.0, size=n))
+        positions = spaced_positions(np.random.default_rng(seed), n, spacing)
         kernel = TemporalKernel(L)
-        got = temporal_band(positions, kernel).toarray()
+        got = temporal_rows(positions, kernel, np.arange(n))
         want = kernel_formula(positions, kernel)
         assert np.array_equal(got > 0, want > 0)
         assert np.max(np.abs(got - want)) <= 1e-15
+        assert np.max(np.abs(temporal_diagonal(positions, kernel) - np.diag(want))) <= 1e-15
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 2 * ROW_BLOCK + 5),
+        L=st.integers(1, 40),
+        spacing=st.sampled_from(SPACINGS),
+        size=st.integers(0, 40),
+    )
+    def test_rows_do_not_depend_on_the_call(self, seed, n, L, spacing, size):
+        # a row's window is normalised by its own sum, so the rows asked
+        # for together (any subset, order or repeats) do not change its bytes
+        rng = np.random.default_rng(seed)
+        positions = spaced_positions(rng, n, spacing)
+        kernel = TemporalKernel(L)
+        dense = temporal_distribution(n, kernel, positions).rows
+        index = rng.integers(0, n, size=size)
+        assert temporal_rows(positions, kernel, index).tobytes() == dense[index].tobytes()
+        assert temporal_diagonal(positions, kernel).tobytes() == np.diag(dense).tobytes()
 
     @pytest.mark.parametrize(
         "L, positions",
@@ -201,25 +230,26 @@ class TestTemporalBand:
         kernel = TemporalKernel(L)
         assert temporal_weight(L / 2, kernel) == 2.220446049250313e-16
         dist = np.abs(positions[:, None] - positions[None, :])
-        band = temporal_band(positions, kernel).toarray()
+        band = temporal_rows(positions, kernel, np.arange(positions.size))
         assert np.any(dist == L / 2) and np.all(band[dist == L / 2] > 0)
         # at tenths, 0.1 * 3 + 3.5 rounds below 0.1 * 38, yet 0.1 * 38 - 0.1 * 3 rounds to 3.5
         want = kernel_formula(positions, kernel)
         assert np.array_equal(band > 0, want > 0)
         assert np.max(np.abs(band - want)) <= 1e-15
 
-    def test_peak_memory_grows_with_band_not_frames_squared(self):
-        n, L = 10_000, 20
-        positions = np.arange(n, dtype=np.float64)
+    def test_workspace_peak_memory_grows_with_row_blocks_not_window(self):
+        # a window as wide as the video: a stored band would hold n^2 entries
+        n = L = 3000
+        X = np.ones((n, 2))
         tracemalloc.start()
         try:
-            band = temporal_band(positions, TemporalKernel(L))
+            work = Workspace.allocate(X, None, L)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert band.nnz <= n * (L + 1)
-        assert peak < 16 * n * (L + 1) * 8  # a few arrays of one entry per band slot
-        assert peak < n * n * 8 / 50  # one N x N float64 matrix is 800 MB
+        assert work.ft_ii.shape == (n,)
+        assert peak < 10 * ROW_BLOCK * n * 8  # a few arrays of one entry per block slot
+        assert peak < n * n * 8 / 2  # one N x N float64 matrix is 72 MB
 
 
 class TestCombine:

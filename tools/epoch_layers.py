@@ -6,8 +6,10 @@
 Builds a synthetic video (seed 0, 6 action classes, segments of 150-200
 frames, noise 0.35) cropped to N frames of width d, and the training
 context ``model.train`` builds for it at its first epoch: the identity
-init, the temporal band and one ``Workspace``. It then times, with one
-BLAS thread, the four parts of an epoch of the checkout's ``src/``:
+init and one ``Workspace``, which holds the frame positions and the
+temporal PDF's diagonal (temporal rows are evaluated when read). It
+then times, with one BLAS thread, the four parts of an epoch of the
+checkout's ``src/``:
 
 - ``head_ms``: ``model._diagonal``, the epoch head;
 - ``select_ms``: ``model._select_epoch_triplets`` without the head (it
@@ -73,7 +75,6 @@ def _median_ms(call, repeats: int) -> float:
 
 def measure(model, frames: int, dims: int, preset: str, repeats: int) -> dict:
     from tsaseg.data_io import DATASET_PRESETS
-    from tsaseg.similarity import TemporalKernel, frame_positions, temporal_band
     from tsaseg.synth import SynthSpec, generate
 
     config = DATASET_PRESETS[preset]
@@ -82,8 +83,7 @@ def measure(model, frames: int, dims: int, preset: str, repeats: int) -> dict:
                      dims=dims, n_action_classes=6, noise_sigma=0.35, seed=0)
     X = np.ascontiguousarray(generate(spec)[0].values[:frames])
     params = model.init_model(dims, frames, np.random.default_rng(0), scheme="identity", X=X)
-    band = temporal_band(frame_positions(frames, None), TemporalKernel(config.L))
-    work = model.Workspace.allocate(X, band)
+    work = model.Workspace.allocate(X, None, config.L)
     model._forward_chain(params, work, config)
 
     head = model._diagonal(work, config)
